@@ -235,7 +235,7 @@ impl Certa {
                     (p, ex)
                 })
                 .collect();
-            ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite proximity"));
+            ranked.sort_by(|a, b| b.0.total_cmp(&a.0));
             ranked.truncate(self.config.max_examples);
             examples = ranked.into_iter().map(|(_, ex)| ex).collect();
         }
@@ -271,8 +271,8 @@ pub fn mean_necessity_of(saliency: &SaliencyExplanation) -> f64 {
     }
 }
 
-/// Mean per-attribute token-set overlap between two same-schema records —
-/// a dependency-free proximity used only for ranking the example list.
+/// Mean per-attribute whitespace-token Jaccard between two same-schema
+/// records — a proximity used only for ranking the example list.
 fn pair_token_overlap(original: &Record, modified: &Record) -> f64 {
     let arity = original.arity().min(modified.arity());
     if arity == 0 {
@@ -280,21 +280,7 @@ fn pair_token_overlap(original: &Record, modified: &Record) -> f64 {
     }
     let mut total = 0.0;
     for i in 0..arity {
-        let a: certa_core::hash::FxHashSet<&str> =
-            original.values()[i].split_whitespace().collect();
-        let b: certa_core::hash::FxHashSet<&str> =
-            modified.values()[i].split_whitespace().collect();
-        total += if a.is_empty() && b.is_empty() {
-            1.0
-        } else {
-            let inter = a.intersection(&b).count() as f64;
-            let union = (a.len() + b.len()) as f64 - inter;
-            if union == 0.0 {
-                1.0
-            } else {
-                inter / union
-            }
-        };
+        total += certa_text::jaccard(&original.values()[i], &modified.values()[i]);
     }
     total / arity as f64
 }
@@ -577,6 +563,27 @@ mod tests {
             ..Default::default()
         });
         assert!(uncapped.explain(&m, &d, u, v).counterfactual.examples.len() > 2);
+    }
+
+    #[test]
+    fn pair_token_overlap_averages_attribute_jaccard() {
+        let rec =
+            |vals: &[&str]| Record::new(RecordId(0), vals.iter().map(|s| s.to_string()).collect());
+        let overlap = |a: &[&str], b: &[&str]| pair_token_overlap(&rec(a), &rec(b));
+        assert_eq!(overlap(&[""], &[" "]), 1.0, "empty/empty");
+        assert_eq!(overlap(&["alpha beta"], &["gamma"]), 0.0, "disjoint");
+        assert_eq!(overlap(&["alpha"], &[""]), 0.0, "one side empty");
+        assert_eq!(
+            overlap(&["a b c"], &["b c d"]),
+            0.5,
+            "{{b, c}} of {{a, b, c, d}}"
+        );
+        assert_eq!(overlap(&["a a b"], &["b a"]), 1.0, "token sets, not bags");
+        // The mean over attributes: (1 + 0 + 1/2) / 3.
+        let original = ["", "alpha beta", "a b c"];
+        let modified = ["", "gamma", "b c d"];
+        assert_eq!(overlap(&original, &modified), 0.5);
+        assert_eq!(overlap(&modified, &original), 0.5);
     }
 
     #[test]

@@ -195,12 +195,6 @@ fn deepmatcher_column(corpus: &CorpusStats, a: &AttrValue, b: &AttrValue) -> Vec
     ]
 }
 
-/// All distinct cleaned tokens of a record (the whole-record document the
-/// final aggregate feature compares).
-fn record_clean_token_set(r: &Record) -> FxHashSet<&str> {
-    r.values().iter().flat_map(|v| v.clean_tokens()).collect()
-}
-
 fn deepmatcher_features(
     corpus: &CorpusStats,
     arity: usize,
@@ -225,9 +219,10 @@ fn deepmatcher_features(
     }
     // One record-level aggregate so the model can catch dirty-migrated
     // values: Jaccard over the union of each record's cleaned token sets.
-    let su = record_clean_token_set(u);
-    let sv = record_clean_token_set(v);
-    out.push(jaccard_tokens(su.iter().copied(), sv.iter().copied()));
+    out.push(jaccard_tokens(
+        u.values().iter().flat_map(AttrValue::clean_tokens),
+        v.values().iter().flat_map(AttrValue::clean_tokens),
+    ));
     out
 }
 

@@ -24,7 +24,7 @@ fn sorted_unique<'a>(toks: impl IntoIterator<Item = &'a str>) -> Vec<&'a str> {
 }
 
 /// `|A ∩ B|` of two dedup-sorted slices by linear merge.
-fn intersection_count(a: &[&str], b: &[&str]) -> usize {
+pub(crate) fn intersection_count<T: Ord>(a: &[T], b: &[T]) -> usize {
     let (mut i, mut j, mut n) = (0usize, 0usize, 0usize);
     while let (Some(x), Some(y)) = (a.get(i), b.get(j)) {
         match x.cmp(y) {
