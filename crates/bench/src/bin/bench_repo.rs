@@ -68,8 +68,9 @@ fn main() {
     let mut failures = 0usize;
 
     // Gates 1+2: fine-tune speedup at matched quality, per family, on the
-    // trainer entry points directly (the serve path adds a shadow cold
-    // train purely for its /metrics delta, so it is not the thing to time).
+    // trainer entry points directly. This is where the F1 delta against a
+    // cold train is measured; the serve path never trains cold after a
+    // successful transfer.
     let donor_dataset = generate(DatasetId::FZ, scale, sibling);
     let target = generate(DatasetId::FZ, scale, seed);
     let mut families = Vec::new();

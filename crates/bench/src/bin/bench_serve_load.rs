@@ -11,11 +11,9 @@
 //! * zero dropped connections (every connect/request must succeed), and
 //! * a p99 latency ceiling.
 //!
-//! The sweep's top level then re-runs against a `ServeMode::Threaded`
-//! server (the worker-per-connection baseline) and gates **≥2× event-mode
-//! throughput**: keep-alive clients with think time pin baseline workers
-//! between requests, while the reactor multiplexes them over one epoll
-//! loop — that gap is exactly what the event core buys.
+//! After the sweep, one `/v1/explain_batch` request must match the
+//! in-process batch byte for byte, `/healthz` and `/metrics` must answer
+//! `200`, and a spawned server must have caught no worker panic.
 //!
 //! Reports per-level client-side throughput and exact p50/p95/p99 latency
 //! (raw samples, not the server's bounded histogram) and writes the
@@ -29,16 +27,15 @@
 //! `--smoke` shrinks the sweep for CI (fewer levels, fewer requests —
 //! still asserting byte equality on every response). `--clients N`
 //! replaces the sweep with the single level N. `--addr` targets an
-//! already-running server (sweep only — no baseline comparison), which
-//! must have been started with the same `--scale/--seed/--tau` (the
-//! expected bytes are recomputed locally).
+//! already-running server, which must have been started with the same
+//! `--scale/--seed/--tau` (the expected bytes are recomputed locally).
 
 use certa_bench::{banner, percentile, write_bench_json, CliOptions};
 use certa_core::Split;
 use certa_explain::CertaExplanation;
 use certa_models::trainer::sample_pairs;
 use certa_serve::wire::dto;
-use certa_serve::{Json, Registry, ServeConfig, ServeMode, Server};
+use certa_serve::{Json, Registry, ServeConfig, Server};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -54,10 +51,6 @@ const THINK_MS: u64 = 25;
 /// Per-level p99 ceiling. Generous: it catches pathologies (a stalled
 /// reactor, a convoying lock), not normal queueing jitter.
 const P99_LIMIT_MS: f64 = 2_500.0;
-
-/// Required event-mode speedup over the threaded baseline at the
-/// comparison level.
-const MIN_SPEEDUP: f64 = 2.0;
 
 struct LoadArgs {
     opts: CliOptions,
@@ -234,8 +227,7 @@ fn run_level(
                     for i in 0..requests_per_client {
                         if i > 0 {
                             // Keep-alive think time: the connection stays
-                            // open and idle — the difference between the
-                            // reactor and a pinned worker.
+                            // open and idle between requests.
                             std::thread::sleep(Duration::from_millis(THINK_MS));
                         }
                         let (body, expected) = &workload[(client_id + i) % workload.len()];
@@ -294,7 +286,7 @@ fn run_level(
 fn main() {
     let args = parse_args();
     banner(
-        "serve load — event-driven serving gate: sweep + baseline + bytes",
+        "serve load — serving gate: concurrency sweep + bytes",
         &args.opts,
     );
     let cfg = args.opts.grid();
@@ -369,7 +361,6 @@ fn main() {
         None if args.smoke => vec![1, 4, 16],
         None => vec![1, 8, 64, 256],
     };
-    let baseline_level = *levels.iter().max().unwrap_or(&1).min(&64);
 
     // ---- Target server: external (--addr) or spawned on loopback.
     let (addr, spawned) = match &args.addr {
@@ -389,7 +380,7 @@ fn main() {
     let workload = Arc::new(workload);
     let mut failures = 0usize;
 
-    // ---- Event-mode sweep: per-level gates.
+    // ---- Sweep: per-level gates.
     let mut sweep: Vec<LevelResult> = Vec::new();
     for &clients in &levels {
         eprintln!(
@@ -452,7 +443,7 @@ fn main() {
         failures += 1;
     }
 
-    if let Some(server) = &spawned {
+    if let Some(server) = spawned {
         let panics = server.state().metrics.worker_panics();
         if panics > 0 {
             eprintln!("FAIL: server caught {panics} worker panic(s)");
@@ -462,67 +453,6 @@ fn main() {
         if overloads > 0 {
             eprintln!("[load] note: {overloads} connection(s) shed with 503");
         }
-    }
-
-    // ---- Threaded baseline (spawned runs only): same workload at the
-    // comparison level against the worker-per-connection design.
-    let mut baseline: Option<LevelResult> = None;
-    let mut speedup: Option<f64> = None;
-    if spawned.is_some() {
-        eprintln!("[baseline] spawning ServeMode::Threaded server…");
-        let threaded_config = ServeConfig {
-            mode: ServeMode::Threaded,
-            ..serve_config.clone()
-        };
-        let baseline_server = Server::bind(threaded_config, "127.0.0.1:0")
-            .unwrap_or_else(|e| panic!("bind baseline loopback: {e}"));
-        baseline_server
-            .state()
-            .registry
-            .resolve(MODEL)
-            .expect("preload on baseline server");
-        let baseline_addr = baseline_server.addr().to_string();
-        eprintln!(
-            "[baseline] {baseline_level} keep-alive clients × {} requests (think {THINK_MS}ms)…",
-            args.requests_per_client
-        );
-        let level = run_level(
-            &baseline_addr,
-            &workload,
-            baseline_level,
-            args.requests_per_client,
-        );
-        println!(
-            "baseline {:>4} clients: {:>8.2} req/s | p50 {:.2}ms p95 {:.2}ms p99 {:.2}ms | dropped {} (threaded)",
-            level.clients,
-            level.throughput_rps,
-            level.p50,
-            level.p95,
-            level.p99,
-            level.dropped
-        );
-        baseline_server.shutdown();
-        let event_at_level = sweep
-            .iter()
-            .find(|l| l.clients == baseline_level)
-            .map(|l| l.throughput_rps)
-            .unwrap_or(0.0);
-        let ratio = event_at_level / level.throughput_rps.max(1e-9);
-        println!(
-            "speedup  : event {:.2} req/s vs threaded {:.2} req/s at {} clients → {:.2}x",
-            event_at_level, level.throughput_rps, baseline_level, ratio
-        );
-        if ratio < MIN_SPEEDUP {
-            eprintln!(
-                "FAIL: event-mode throughput {ratio:.2}x threaded at {baseline_level} clients (need ≥{MIN_SPEEDUP}x)"
-            );
-            failures += 1;
-        }
-        baseline = Some(level);
-        speedup = Some(ratio);
-    }
-
-    if let Some(server) = spawned {
         server.shutdown();
     }
 
@@ -532,7 +462,7 @@ fn main() {
         "verified  : {total_requests} explain responses byte-identical to in-process explain_batch ✔"
     );
 
-    let mut report_fields = vec![
+    let report = Json::obj([
         ("bench", Json::str("serve_load")),
         ("model", Json::str(MODEL)),
         ("scale", Json::str(cfg.scale.to_string())),
@@ -550,15 +480,8 @@ fn main() {
             "levels",
             Json::Arr(sweep.iter().map(LevelResult::to_json).collect()),
         ),
-    ];
-    if let Some(b) = &baseline {
-        report_fields.push(("baseline_threaded", b.to_json()));
-    }
-    if let Some(s) = speedup {
-        report_fields.push(("speedup_vs_threaded", Json::Num(s)));
-    }
-    report_fields.push(("failures", Json::num(failures as f64)));
-    let report = Json::obj(report_fields);
+        ("failures", Json::num(failures as f64)),
+    ]);
     match write_bench_json("BENCH_serve.json", &report) {
         Ok(()) => println!("wrote BENCH_serve.json"),
         Err(e) => {

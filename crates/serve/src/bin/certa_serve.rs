@@ -2,8 +2,7 @@
 //! killed.
 //!
 //! ```text
-//! certa-serve [--host H] [--port P] [--mode event|threaded]
-//!             [--scale smoke|default|paper]
+//! certa-serve [--host H] [--port P] [--scale smoke|default|paper]
 //!             [--seed N] [--tau N] [--http-workers N] [--explain-workers N]
 //!             [--queue-depth N] [--max-body-bytes N] [--read-timeout-ms N]
 //!             [--max-pipeline N] [--tenant-rps N] [--tenant-burst N]
@@ -12,10 +11,10 @@
 //!             [--transfer-floor F] [--preload <dataset>/<model>]...
 //! ```
 //!
-//! `--mode` selects the event-driven reactor core (default) or the
-//! worker-per-connection baseline; `--tenant-rps 0` (default) disables
-//! per-tenant rate limiting, `--stream-chunk-bytes 0` disables chunked
-//! streaming of large responses.
+//! `--queue-depth` caps open connections and queued requests (`503` past
+//! it); `--read-timeout-ms` reaps idle connections; `--tenant-rps 0`
+//! (default) disables per-tenant rate limiting, `--stream-chunk-bytes 0`
+//! disables chunked streaming of large responses.
 //!
 //! `--preload` resolves (generates + trains) the named entries before the
 //! listener opens, so the first real request doesn't pay the training
@@ -44,7 +43,7 @@ struct Args {
     preload: Vec<String>,
 }
 
-const USAGE: &str = "usage: certa-serve [--host H] [--port P] [--mode event|threaded] \
+const USAGE: &str = "usage: certa-serve [--host H] [--port P] \
 [--scale smoke|default|paper] [--seed N] [--tau N] [--http-workers N] [--explain-workers N] \
 [--queue-depth N] [--max-body-bytes N] [--read-timeout-ms N] [--max-pipeline N] \
 [--tenant-rps N] [--tenant-burst N] [--stream-chunk-bytes N] [--store-dir PATH] \
@@ -63,7 +62,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         match flag.as_str() {
             "--host" => args.host = value("--host")?,
             "--port" => args.port = value("--port")?.parse().map_err(|e| format!("{e}"))?,
-            "--mode" => args.config.mode = value("--mode")?.parse()?,
             "--scale" => args.config.scale = value("--scale")?.parse()?,
             "--seed" => args.config.seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
             "--tau" => args.config.tau = value("--tau")?.parse().map_err(|e| format!("{e}"))?,
@@ -140,8 +138,7 @@ fn main() {
     };
     let cfg = &args.config;
     eprintln!(
-        "certa-serve: mode={} scale={} seed={} tau={} http_workers={} queue_depth={}",
-        cfg.mode,
+        "certa-serve: scale={} seed={} tau={} http_workers={} queue_depth={}",
         cfg.scale,
         cfg.seed,
         cfg.tau,
@@ -202,8 +199,6 @@ mod tests {
         let a = parse(&[
             "--port",
             "9000",
-            "--mode",
-            "threaded",
             "--scale",
             "smoke",
             "--seed",
@@ -241,7 +236,6 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(a.port, 9000);
-        assert_eq!(a.config.mode, certa_serve::ServeMode::Threaded);
         assert_eq!(a.config.seed, 11);
         assert_eq!(a.config.tau, 40);
         assert_eq!(a.config.http_workers, 3);
@@ -262,7 +256,6 @@ mod tests {
         assert_eq!(a.preload, vec!["FZ/DeepMatcher", "AB/Ditto"]);
         let d = parse(&[]).unwrap();
         assert!(d.config.store_dir.is_none());
-        assert_eq!(d.config.mode, certa_serve::ServeMode::Event);
         assert_eq!(d.config.transfer, certa_serve::TransferMode::Off);
         assert_eq!(d.config.transfer_floor, 0.25);
     }
@@ -272,7 +265,7 @@ mod tests {
         assert!(parse(&["--bogus"]).is_err());
         assert!(parse(&["--port"]).is_err());
         assert!(parse(&["--port", "zap"]).is_err());
-        assert!(parse(&["--mode", "fibers"]).is_err());
+        assert!(parse(&["--mode", "event"]).is_err(), "one serving core");
         assert!(parse(&["--transfer", "furthest"]).is_err());
         assert!(parse(&["--transfer-floor", "tall"]).is_err());
         assert!(parse(&["--help"]).is_err());

@@ -1,12 +1,10 @@
 //! Minimal HTTP/1.1 framing: request parsing with hard limits, response
 //! encoding, keep-alive negotiation, and structured JSON errors.
 //!
-//! Two request readers share one head grammar ([`parse_head`]): the
-//! blocking [`read_request`] (used by the threaded serving core) and the
-//! incremental [`parse_request`] over a connection's receive buffer (used
-//! by the epoll reactor, which never blocks on a socket). Both produce
-//! identical [`Request`]s and identical structured errors for identical
-//! bytes.
+//! Requests are parsed incrementally by [`parse_request`] over a
+//! connection's receive buffer: the epoll reactor calls it after every
+//! socket read, so no thread ever blocks on a socket waiting for the rest
+//! of a request.
 //!
 //! The grammar subset is deliberate: request line + headers + an optional
 //! `Content-Length` body. `Transfer-Encoding: chunked` *requests* are
@@ -18,7 +16,7 @@
 //! so the served-bytes ≡ in-process equality gate is framing-independent.
 
 use crate::wire::Json;
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 
 /// Hard cap on the request line + headers section.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -116,20 +114,6 @@ impl HttpError {
     }
 }
 
-/// What happened while reading a request off the stream.
-pub enum ReadOutcome {
-    /// A complete, well-formed request.
-    Request(Box<Request>),
-    /// The peer closed between requests — normal keep-alive termination,
-    /// nothing to send.
-    Closed,
-    /// No byte arrived within the socket read timeout — the idle-connection
-    /// reaper case, counted separately from peer-initiated closes.
-    Timeout,
-    /// A protocol violation; send this error and honour its `keep_alive`.
-    Error(HttpError),
-}
-
 /// A parsed request head: everything before the body bytes.
 struct Head {
     method: String,
@@ -163,12 +147,8 @@ fn head_too_large() -> HttpError {
     )
 }
 
-fn truncated_head(detail: &str) -> HttpError {
-    HttpError::closing(400, "truncated_request", detail.to_string())
-}
-
 /// Parse a request head from its lines (request line first, then header
-/// lines, no blank terminator). One grammar for both request readers.
+/// lines, no blank terminator).
 fn parse_head(lines: &[String], max_body: usize) -> Result<Head, HttpError> {
     // --- request line ---
     let line = lines.first().map(String::as_str).unwrap_or("");
@@ -283,69 +263,6 @@ fn parse_head(lines: &[String], max_body: usize) -> Result<Head, HttpError> {
     })
 }
 
-/// Read one request from a buffered stream (the blocking reader the
-/// threaded serving core uses; the reactor uses [`parse_request`]).
-///
-/// `max_body` bounds `Content-Length`; the head section is bounded by
-/// [`MAX_HEAD_BYTES`]. A timeout before the first byte surfaces as
-/// [`ReadOutcome::Timeout`], other first-byte IO errors as
-/// [`ReadOutcome::Closed`], and truncation mid-request as a `400`.
-pub fn read_request(stream: &mut impl BufRead, max_body: usize) -> ReadOutcome {
-    let line = match read_line_limited(stream, MAX_HEAD_BYTES) {
-        Ok(Some(line)) => line,
-        Ok(None) => return ReadOutcome::Closed,
-        Err(LineError::TooLong) => return ReadOutcome::Error(head_too_large()),
-        Err(LineError::Io(e))
-            if matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-            ) =>
-        {
-            return ReadOutcome::Timeout;
-        }
-        Err(LineError::Io(_)) => return ReadOutcome::Closed,
-    };
-    let mut head_budget = MAX_HEAD_BYTES.saturating_sub(line.len());
-    let mut lines = vec![line];
-    loop {
-        let line = match read_line_limited(stream, head_budget) {
-            Ok(Some(line)) => line,
-            Ok(None) => {
-                return ReadOutcome::Error(truncated_head(
-                    "connection closed inside the header section",
-                ));
-            }
-            Err(LineError::TooLong) => return ReadOutcome::Error(head_too_large()),
-            Err(LineError::Io(_)) => {
-                return ReadOutcome::Error(truncated_head(
-                    "stream error inside the header section",
-                ));
-            }
-        };
-        if line.is_empty() {
-            break;
-        }
-        head_budget = head_budget.saturating_sub(line.len());
-        lines.push(line);
-    }
-    let head = match parse_head(&lines, max_body) {
-        Ok(head) => head,
-        Err(e) => return ReadOutcome::Error(e),
-    };
-    let mut body = vec![0u8; head.content_length];
-    if stream.read_exact(&mut body).is_err() {
-        return ReadOutcome::Error(HttpError::closing(
-            400,
-            "truncated_body",
-            format!(
-                "connection closed before {} body bytes arrived",
-                head.content_length
-            ),
-        ));
-    }
-    ReadOutcome::Request(Box::new(head.into_request(body)))
-}
-
 /// Outcome of one [`parse_request`] pass over a receive buffer.
 pub enum ParseOutcome {
     /// No complete request yet — keep the buffer and read more bytes.
@@ -370,8 +287,7 @@ pub enum ParseOutcome {
     },
 }
 
-/// Incrementally parse one request from the front of `buf` — the reactor's
-/// nonblocking counterpart of [`read_request`], same grammar, same errors.
+/// Incrementally parse one request from the front of `buf`.
 ///
 /// Call after every socket read; on [`ParseOutcome::Request`] /
 /// [`ParseOutcome::Error`] drain `consumed` bytes and call again (request
@@ -404,8 +320,7 @@ pub fn parse_request(buf: &[u8], max_body: usize) -> ParseOutcome {
             };
         }
         // A blank line terminates the head — except as the very first line,
-        // where it *is* the (malformed) request line, matching the stream
-        // reader's behaviour.
+        // where it *is* the (malformed) request line.
         if line.is_empty() && !lines.is_empty() {
             break pos;
         }
@@ -430,43 +345,6 @@ pub fn parse_request(buf: &[u8], max_body: usize) -> ParseOutcome {
         // Body bytes still in flight (content_length ≤ max_body here, so
         // the wait is bounded).
         None => ParseOutcome::NeedMore,
-    }
-}
-
-enum LineError {
-    TooLong,
-    Io(io::Error),
-}
-
-/// Read one CRLF- (or bare-LF-) terminated line as UTF-8-lossy text,
-/// bounded by `limit` bytes. `Ok(None)` = clean EOF before any byte.
-fn read_line_limited(stream: &mut impl BufRead, limit: usize) -> Result<Option<String>, LineError> {
-    let mut buf = Vec::new();
-    loop {
-        if buf.len() > limit {
-            return Err(LineError::TooLong);
-        }
-        let mut byte = [0u8; 1];
-        match stream.read(&mut byte) {
-            Ok(0) => {
-                if buf.is_empty() {
-                    return Ok(None);
-                }
-                return Err(LineError::Io(io::Error::from(io::ErrorKind::UnexpectedEof)));
-            }
-            Ok(_) => {
-                let [b] = byte;
-                if b == b'\n' {
-                    if buf.last() == Some(&b'\r') {
-                        buf.pop();
-                    }
-                    return Ok(Some(String::from_utf8_lossy(&buf).into_owned()));
-                }
-                buf.push(b);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(LineError::Io(e)),
-        }
     }
 }
 
@@ -578,25 +456,53 @@ pub fn reason(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
-    fn read(raw: &[u8]) -> ReadOutcome {
-        read_request(&mut BufReader::new(raw), 1024)
+    /// Drive `parse_request` the way the reactor does: feed the bytes one
+    /// at a time and collect every completed request/error.
+    fn parse_all(raw: &[u8], max_body: usize) -> (Vec<Request>, Vec<HttpError>, usize) {
+        let mut buf: Vec<u8> = Vec::new();
+        let (mut requests, mut errors) = (Vec::new(), Vec::new());
+        for &b in raw {
+            buf.push(b);
+            loop {
+                match parse_request(&buf, max_body) {
+                    ParseOutcome::NeedMore => break,
+                    ParseOutcome::Request { request, consumed } => {
+                        requests.push(*request);
+                        buf.drain(..consumed);
+                    }
+                    ParseOutcome::Error { error, consumed } => {
+                        let recoverable = error.keep_alive;
+                        errors.push(error);
+                        buf.drain(..consumed.min(buf.len()));
+                        if !recoverable {
+                            return (requests, errors, buf.len());
+                        }
+                    }
+                }
+            }
+        }
+        (requests, errors, buf.len())
     }
 
+    /// The single request `raw` parses to, consuming every byte.
     fn request(raw: &[u8]) -> Request {
-        match read(raw) {
-            ReadOutcome::Request(r) => *r,
-            ReadOutcome::Closed => panic!("closed"),
-            ReadOutcome::Timeout => panic!("timeout"),
-            ReadOutcome::Error(e) => panic!("error: {e:?}"),
+        let (requests, errors, leftover) = parse_all(raw, 1024);
+        assert!(errors.is_empty(), "{errors:?}");
+        assert_eq!(leftover, 0);
+        match <[Request; 1]>::try_from(requests) {
+            Ok([r]) => r,
+            Err(rs) => panic!("expected one request, got {}", rs.len()),
         }
     }
 
+    /// The single error `raw` parses to.
     fn error(raw: &[u8]) -> HttpError {
-        match read(raw) {
-            ReadOutcome::Error(e) => e,
-            _ => panic!("expected an error for {:?}", String::from_utf8_lossy(raw)),
+        let (requests, errors, _) = parse_all(raw, 1024);
+        assert!(requests.is_empty(), "{:?}", String::from_utf8_lossy(raw));
+        match <[HttpError; 1]>::try_from(errors) {
+            Ok([e]) => e,
+            Err(es) => panic!("expected one error, got {es:?}"),
         }
     }
 
@@ -629,23 +535,27 @@ mod tests {
     }
 
     #[test]
-    fn clean_eof_is_closed_not_error() {
-        assert!(matches!(read(b""), ReadOutcome::Closed));
-    }
-
-    #[test]
     fn protocol_violations_are_structured_errors() {
-        assert_eq!(error(b"GARBAGE\r\n\r\n").status, 400);
-        assert_eq!(error(b"GET / HTTP/2.0\r\n\r\n").status, 505);
-        assert_eq!(error(b"GET / HTTP/1.1\r\nbadheader\r\n\r\n").status, 400);
-        assert_eq!(
-            error(b"POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n").status,
-            400
-        );
-        assert_eq!(
-            error(b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n").status,
-            501
-        );
+        for (raw, status, code) in [
+            (b"GARBAGE\r\n\r\n".as_slice(), 400, "bad_request_line"),
+            (b"\r\n\r\n", 400, "bad_request_line"),
+            (b"GET / HTTP/2.0\r\n\r\n", 505, "http_version_not_supported"),
+            (b"GET / HTTP/1.1\r\nbadheader\r\n\r\n", 400, "bad_header"),
+            (
+                b"POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
+                400,
+                "bad_content_length",
+            ),
+            (
+                b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+                501,
+                "transfer_encoding_unsupported",
+            ),
+        ] {
+            let e = error(raw);
+            assert_eq!((e.status, e.code), (status, code), "{e:?}");
+            assert!(!e.keep_alive, "{code} must close the connection");
+        }
         let e = error(b"POST /x HTTP/1.1\r\n\r\n");
         assert_eq!((e.status, e.code), (411, "length_required"));
         assert!(e.keep_alive, "no unread body, connection stays usable");
@@ -654,22 +564,28 @@ mod tests {
     #[test]
     fn oversized_body_is_413_and_closes() {
         let e = error(b"POST /x HTTP/1.1\r\nContent-Length: 99999\r\n\r\n");
-        assert_eq!(e.status, 413);
-        assert_eq!(e.code, "payload_too_large");
+        assert_eq!((e.status, e.code), (413, "payload_too_large"));
         assert!(!e.keep_alive, "unread body must close the connection");
     }
 
     #[test]
-    fn truncated_body_is_400() {
-        let e = error(b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc");
-        assert_eq!((e.status, e.code), (400, "truncated_body"));
+    fn partial_body_needs_more() {
+        // Body bytes still in flight: nothing is consumed. A peer that
+        // half-closes here gets `400 truncated_request` from the reactor.
+        let raw: &[u8] = b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
+        let (requests, errors, leftover) = parse_all(raw, 1024);
+        assert!(requests.is_empty() && errors.is_empty());
+        assert_eq!(leftover, raw.len());
+        assert!(matches!(parse_request(raw, 1024), ParseOutcome::NeedMore));
     }
 
     #[test]
     fn oversized_head_is_431() {
         let mut raw = b"GET / HTTP/1.1\r\n".to_vec();
         raw.extend(format!("x-pad: {}\r\n\r\n", "y".repeat(MAX_HEAD_BYTES)).into_bytes());
-        assert_eq!(error(&raw).status, 431);
+        let e = error(&raw);
+        assert_eq!((e.status, e.code), (431, "headers_too_large"));
+        assert!(!e.keep_alive);
     }
 
     #[test]
@@ -684,54 +600,6 @@ mod tests {
             err.get("message").unwrap().as_str(),
             Some("oops: \"quoted\"")
         );
-    }
-
-    /// Drive `parse_request` the way the reactor does: feed the bytes one
-    /// at a time and collect every completed request/error.
-    fn parse_all(raw: &[u8], max_body: usize) -> (Vec<Request>, Vec<HttpError>, usize) {
-        let mut buf: Vec<u8> = Vec::new();
-        let (mut requests, mut errors) = (Vec::new(), Vec::new());
-        for &b in raw {
-            buf.push(b);
-            loop {
-                match parse_request(&buf, max_body) {
-                    ParseOutcome::NeedMore => break,
-                    ParseOutcome::Request { request, consumed } => {
-                        requests.push(*request);
-                        buf.drain(..consumed);
-                    }
-                    ParseOutcome::Error { error, consumed } => {
-                        let recoverable = error.keep_alive;
-                        errors.push(error);
-                        buf.drain(..consumed.min(buf.len()));
-                        if !recoverable {
-                            return (requests, errors, buf.len());
-                        }
-                    }
-                }
-            }
-        }
-        (requests, errors, buf.len())
-    }
-
-    #[test]
-    fn incremental_parser_matches_stream_reader() {
-        let raw: &[u8] =
-            b"POST /v1/score?x=1 HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\n{\"a\"";
-        let (reqs, errs, leftover) = parse_all(raw, 1024);
-        assert!(errs.is_empty());
-        assert_eq!(leftover, 0);
-        let [r] = &reqs[..] else {
-            panic!("expected exactly one request")
-        };
-        let s = request(raw);
-        assert_eq!((r.method.as_str(), s.method.as_str()), ("POST", "POST"));
-        assert_eq!(r.path, s.path);
-        assert_eq!(r.query, s.query);
-        assert_eq!(r.headers, s.headers);
-        assert_eq!(r.body, s.body);
-        assert_eq!(r.keep_alive, s.keep_alive);
-        assert!(r.http11 && s.http11);
     }
 
     #[test]
@@ -757,23 +625,6 @@ mod tests {
         assert_eq!((errs[0].status, errs[0].code), (411, "length_required"));
         assert_eq!(reqs.len(), 1);
         assert_eq!(reqs[0].path, "/healthz");
-    }
-
-    #[test]
-    fn incremental_parser_errors_match_stream_reader_errors() {
-        for raw in [
-            b"GARBAGE\r\n\r\n".as_slice(),
-            b"GET / HTTP/2.0\r\n\r\n",
-            b"GET / HTTP/1.1\r\nbadheader\r\n\r\n",
-            b"POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
-            b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
-            b"POST /x HTTP/1.1\r\nContent-Length: 99999\r\n\r\n",
-        ] {
-            let stream_err = error(raw);
-            let (_, errs, _) = parse_all(raw, 1024);
-            assert_eq!(errs.len(), 1, "{:?}", String::from_utf8_lossy(raw));
-            assert_eq!(errs[0], stream_err);
-        }
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! throughput and tail latency. Built entirely on `std::net` plus the
 //! workspace's vendored crates: no tokio, no hyper, no serde_json — the
 //! build environment has no registry access, and nothing here needs more
-//! than an accept loop, a bounded queue, and a worker pool.
+//! than an epoll loop, a bounded job queue, and a worker pool.
 //!
-//! ## Architecture (event mode, the default)
+//! ## Architecture
 //!
 //! ```text
 //!             ┌───────────────────────────────┐  bounded  ┌──────────────┐
@@ -29,8 +29,7 @@
 //!
 //! Sockets never hold threads: the event loop multiplexes every
 //! connection over one epoll instance, and the worker pool only ever sees
-//! parsed requests. `ServeMode::Threaded` keeps the original
-//! worker-per-connection design selectable as the benchmark baseline.
+//! parsed requests, so idle keep-alive connections cannot starve it.
 //!
 //! * [`wire`] — a zero-dependency JSON wire format: a value model with a
 //!   deterministic serializer (insertion-ordered objects, shortest-round-trip
@@ -48,10 +47,10 @@
 //! * [`reactor`] — the zero-dependency epoll shim (raw `libc` syscalls,
 //!   no crates) plus deterministic per-tenant token buckets.
 //! * [`http`] / [`router`] / [`server`] — HTTP/1.1 with keep-alive,
-//!   request pipelining, Content-Length and chunked framing; structured
-//!   JSON errors for every failure (400 malformed, 413 oversized, 429
-//!   rate-limited, 503 overloaded, …); graceful shutdown over a wake
-//!   pipe.
+//!   request pipelining through one incremental parser, Content-Length
+//!   and chunked framing; structured JSON errors for every failure (400
+//!   malformed, 413 oversized, 429 rate-limited, 503 overloaded, …);
+//!   graceful shutdown over a wake pipe.
 //!
 //! ## Determinism guarantee
 //!
@@ -84,5 +83,5 @@ pub mod wire;
 pub use http::{HttpError, Request, Response};
 pub use ops::{LatencyHistogram, Route, ServerMetrics};
 pub use server::{AppState, Server, ServerHandle};
-pub use state::{ModelEntry, Registry, ServeConfig, ServeMode, StoreStats, TransferMode};
+pub use state::{ModelEntry, Registry, ServeConfig, StoreStats, TransferMode};
 pub use wire::{Json, WireError};

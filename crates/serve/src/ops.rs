@@ -397,9 +397,8 @@ impl ServerMetrics {
             "# TYPE {p}_worker_panics_total counter\n{p}_worker_panics_total {}\n",
             self.worker_panics()
         ));
-        // Connection-lifecycle accounting — every abnormal teardown that
-        // `serve_connection` used to swallow with `let _ =` is a counter
-        // now, so dropped-connection debugging starts at /metrics.
+        // Connection-lifecycle accounting — every abnormal teardown is a
+        // counter, so dropped-connection debugging starts at /metrics.
         out.push_str(&format!(
             "# TYPE {p}_conn_timeouts_total counter\n{p}_conn_timeouts_total {}\n",
             self.conn_timeouts()

@@ -1,8 +1,5 @@
 //! The server: an event-driven reactor core with a worker pool for CPU
-//! work — plus the original worker-per-connection path as a measurable
-//! baseline.
-//!
-//! ## Event mode (default)
+//! work.
 //!
 //! One **event thread** owns the `TcpListener` (nonblocking) and an epoll
 //! [`reactor::Poller`]. Sockets never hold threads: the event loop
@@ -18,41 +15,35 @@
 //!
 //! Backpressure and protection:
 //! - a connection cap (`queue_depth`) sheds new connections with a
-//!   structured `503` at the door;
+//!   structured `503` at the door, and the job queue holds at most
+//!   `queue_depth` parsed requests (`503` past it);
 //! - a per-connection pipeline cap (`max_pipeline`) pauses *reading* from
 //!   over-eager pipeliners instead of buffering unboundedly (counted in
 //!   `certa_serve_conn_pipeline_overflows_total`);
 //! - optional per-tenant token buckets ([`reactor::TenantBuckets`]) answer
 //!   `429` on `/v1/*` before any CPU work is queued;
 //! - idle connections past `read_timeout` are reaped (counted in
-//!   `certa_serve_conn_timeouts_total`).
+//!   `certa_serve_conn_timeouts_total`);
+//! - a peer that half-closes mid-request gets `400 truncated_request`.
 //!
 //! Large HTTP/1.1 response bodies stream as `transfer-encoding: chunked`
 //! (threshold `stream_chunk_bytes`); de-chunking yields byte-identical
 //! payloads, so the served-bytes ≡ in-process equality gate is unchanged.
 //!
-//! ## Threaded mode
-//!
-//! The pre-reactor design, kept selectable (`ServeMode::Threaded`) as the
-//! benchmark baseline: accept loop → bounded connection queue → workers
-//! that own one socket each until it closes. Abnormal teardowns that were
-//! once silently swallowed are now counted (`certa_serve_conn_*`).
-//!
 //! ## Graceful shutdown
 //!
-//! [`ServerHandle::shutdown`] flips the stop flag and wakes the main
-//! thread (wake-pipe byte in event mode; throwaway loopback connect in
-//! threaded mode). In-flight connections drain — bounded by a deadline in
-//! event mode — workers join, and the listener is closed before
-//! `shutdown` returns, so the port is immediately rebindable.
+//! [`ServerHandle::shutdown`] flips the stop flag and writes a byte to the
+//! wake pipe. In-flight connections drain, bounded by a deadline; workers
+//! join, and the listener is closed before `shutdown` returns, so the port
+//! is immediately rebindable.
 
-use crate::http::{parse_request, read_request, HttpError, ParseOutcome, ReadOutcome, Request};
+use crate::http::{parse_request, HttpError, ParseOutcome, Request};
 use crate::ops::{Route, ServerMetrics};
 use crate::reactor::{Event, Interest, Poller, TenantBuckets};
 use crate::router;
-use crate::state::{Registry, ServeConfig, ServeMode};
+use crate::state::{Registry, ServeConfig};
 use std::collections::VecDeque;
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
@@ -87,7 +78,7 @@ impl AppState {
     }
 }
 
-/// Bounded MPMC queue (connections in threaded mode, jobs in event mode).
+/// Bounded MPMC job queue.
 ///
 /// `push` fails fast when full (the 503 path); `pop` blocks until an item
 /// arrives or the queue is closed *and* drained — workers finish the
@@ -156,9 +147,8 @@ pub struct Server {
     state: Arc<AppState>,
     stop: Arc<AtomicBool>,
     main_thread: Option<JoinHandle<()>>,
-    /// Event-mode wake pipe; `None` in threaded mode (which wakes its
-    /// accept loop with a throwaway loopback connect instead).
-    wake: Option<UnixStream>,
+    /// Write end of the event loop's wake pipe.
+    wake: UnixStream,
 }
 
 /// Owning handle to a running [`Server`].
@@ -177,55 +167,6 @@ impl Server {
     /// Start on an already-bound listener with pre-built state (lets the
     /// load harness pre-resolve registry entries before opening the door).
     pub fn start(
-        listener: TcpListener,
-        addr: SocketAddr,
-        state: Arc<AppState>,
-    ) -> io::Result<Server> {
-        match state.config().mode {
-            ServeMode::Threaded => Server::start_threaded(listener, addr, state),
-            ServeMode::Event => Server::start_event(listener, addr, state),
-        }
-    }
-
-    fn start_threaded(
-        listener: TcpListener,
-        addr: SocketAddr,
-        state: Arc<AppState>,
-    ) -> io::Result<Server> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let queue = Arc::new(BoundedQueue::new(state.config().queue_depth));
-        let workers: Vec<JoinHandle<()>> = (0..state.config().effective_http_workers())
-            .map(|i| {
-                let queue = Arc::clone(&queue);
-                let state = Arc::clone(&state);
-                std::thread::Builder::new()
-                    .name(format!("certa-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&queue, &state))
-            })
-            .collect::<io::Result<_>>()?;
-
-        let accept_state = Arc::clone(&state);
-        let accept_stop = Arc::clone(&stop);
-        let main_thread = std::thread::Builder::new()
-            .name("certa-serve-accept".to_string())
-            .spawn(move || {
-                accept_loop(&listener, &queue, &accept_state, &accept_stop);
-                queue.close();
-                for w in workers {
-                    let _ = w.join();
-                }
-            })?;
-
-        Ok(Server {
-            addr,
-            state,
-            stop,
-            main_thread: Some(main_thread),
-            wake: None,
-        })
-    }
-
-    fn start_event(
         listener: TcpListener,
         addr: SocketAddr,
         state: Arc<AppState>,
@@ -263,7 +204,7 @@ impl Server {
             state,
             stop,
             main_thread: Some(main_thread),
-            wake: Some(wake_tx),
+            wake: wake_tx,
         })
     }
 
@@ -282,27 +223,14 @@ impl Server {
     /// connections, join every thread.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        match self.wake.as_mut() {
-            // Event mode: one byte on the wake pipe unblocks the poller.
-            // A full pipe already guarantees a pending wakeup.
-            Some(tx) => {
-                let _ = tx.write(&[1u8]);
-            }
-            // Threaded mode: unblock the accept call with a throwaway
-            // connection.
-            None => {
-                let _ = TcpStream::connect(self.addr);
-            }
-        }
+        // One byte on the wake pipe unblocks the poller. A full pipe
+        // already guarantees a pending wakeup.
+        let _ = self.wake.write(&[1u8]);
         if let Some(t) = self.main_thread.take() {
             let _ = t.join();
         }
     }
 }
-
-// ---------------------------------------------------------------------------
-// Event mode
-// ---------------------------------------------------------------------------
 
 /// Token for the listening socket. Connection tokens are
 /// `(generation << 32) | slot` with the generation capped well below this.
@@ -899,7 +827,7 @@ impl EventLoop {
     }
 }
 
-/// Event-mode main thread: run the reactor, then drain the worker pool.
+/// The event thread: run the reactor, then drain the worker pool.
 fn event_main(
     listener: TcpListener,
     state: Arc<AppState>,
@@ -952,7 +880,7 @@ fn event_main(
     teardown(workers);
 }
 
-/// Event-mode worker: CPU only — route, observe, encode; never touches a
+/// A pool worker: CPU only — route, observe, encode; never touches a
 /// socket.
 fn event_worker_loop(shared: &EventShared, state: &AppState) {
     while let Some(job) = shared.jobs.pop() {
@@ -994,108 +922,6 @@ fn event_worker_loop(shared: &EventShared, state: &AppState) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Threaded mode (benchmark baseline)
-// ---------------------------------------------------------------------------
-
-fn accept_loop(
-    listener: &TcpListener,
-    queue: &BoundedQueue<TcpStream>,
-    state: &AppState,
-    stop: &AtomicBool,
-) {
-    loop {
-        let accepted = listener.accept();
-        if stop.load(Ordering::SeqCst) {
-            // The wake-pipe connection (or anything racing it) is dropped
-            // unanswered — shutdown wins.
-            return;
-        }
-        let stream = match accepted {
-            Ok((stream, _peer)) => stream,
-            Err(_) => continue,
-        };
-        state.metrics.connection_accepted();
-        if let Err(stream) = queue.push(stream) {
-            // Queue full: shed load at the door with a structured 503.
-            state.metrics.overload_rejected();
-            let err = HttpError::closing(
-                503,
-                "overloaded",
-                format!(
-                    "connection queue full ({} waiting); retry with backoff",
-                    state.config().queue_depth
-                ),
-            );
-            let mut stream = stream;
-            let _ = err.to_response().write_to(&mut stream, false);
-        }
-    }
-}
-
-fn worker_loop(queue: &BoundedQueue<TcpStream>, state: &AppState) {
-    while let Some(stream) = queue.pop() {
-        // A panic while serving kills this connection, not the worker —
-        // and is visible in `/metrics` rather than silent.
-        let result = catch_unwind(AssertUnwindSafe(|| serve_connection(stream, state)));
-        if result.is_err() {
-            state.metrics.worker_panicked();
-        }
-    }
-}
-
-/// Serve one connection: keep-alive loop of read → route → respond.
-fn serve_connection(stream: TcpStream, state: &AppState) {
-    let _ = stream.set_read_timeout(Some(state.config().read_timeout));
-    let _ = stream.set_write_timeout(Some(state.config().read_timeout));
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => {
-            state.metrics.conn_reset();
-            return;
-        }
-    };
-    let mut reader = BufReader::new(stream);
-    loop {
-        match read_request(&mut reader, state.config().max_body_bytes) {
-            ReadOutcome::Closed => return,
-            ReadOutcome::Timeout => {
-                // Idle past the read deadline — counted, not swallowed.
-                state.metrics.conn_timed_out();
-                return;
-            }
-            ReadOutcome::Error(err) => {
-                let keep = err.keep_alive;
-                let resp = err.to_response();
-                state
-                    .metrics
-                    .observe(Route::Other, resp.status, Duration::ZERO);
-                if resp.write_to(&mut writer, keep).is_err() {
-                    state.metrics.conn_reset();
-                    return;
-                }
-                if !keep {
-                    return;
-                }
-            }
-            ReadOutcome::Request(req) => {
-                let t0 = Instant::now();
-                let (route, resp) = router::handle(&state.registry, &state.metrics, &req);
-                state.metrics.observe(route, resp.status, t0.elapsed());
-                let keep = req.keep_alive && resp.keep_alive;
-                if resp.write_to(&mut writer, keep).is_err() {
-                    state.metrics.conn_reset();
-                    return;
-                }
-                if !keep {
-                    return;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1131,24 +957,6 @@ mod tests {
         assert!(body.contains("\"status\":\"ok\""), "{body}");
         server.shutdown();
         // The port is released: a fresh bind to the same address works.
-        assert!(TcpListener::bind(addr).is_ok());
-    }
-
-    #[test]
-    fn threaded_mode_serves_and_releases_port() {
-        let server = Server::bind(
-            ServeConfig {
-                mode: ServeMode::Threaded,
-                ..small_config()
-            },
-            "127.0.0.1:0",
-        )
-        .unwrap();
-        let addr = server.addr();
-        let (status, body) = get(addr, "/healthz");
-        assert_eq!(status, 200);
-        assert!(body.contains("\"status\":\"ok\""), "{body}");
-        server.shutdown();
         assert!(TcpListener::bind(addr).is_ok());
     }
 
@@ -1205,27 +1013,19 @@ mod tests {
 
     #[test]
     fn overload_gets_structured_503() {
-        // Threaded baseline: 1 worker pinned by a half-open connection,
-        // 1 queue slot filled, next connection → 503.
         let server = Server::bind(
             ServeConfig {
-                mode: ServeMode::Threaded,
-                http_workers: 1,
                 queue_depth: 1,
-                read_timeout: Duration::from_secs(2),
-                ..ServeConfig::default()
+                read_timeout: Duration::from_secs(30),
+                ..small_config()
             },
             "127.0.0.1:0",
         )
         .unwrap();
         let addr = server.addr();
-        // Pin the single worker: connect and send nothing (it blocks in read
-        // until the timeout).
+        // An idle connection holds the only slot. The event loop accepts
+        // connections in arrival order, so it is admitted before the next.
         let pin = TcpStream::connect(addr).unwrap();
-        std::thread::sleep(Duration::from_millis(100));
-        // Fill the queue slot the same way.
-        let fill = TcpStream::connect(addr).unwrap();
-        std::thread::sleep(Duration::from_millis(100));
         // This one must be turned away at the door.
         let mut s = TcpStream::connect(addr).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -1235,7 +1035,55 @@ mod tests {
         assert!(buf.contains("\"code\":\"overloaded\""), "{buf}");
         assert!(server.state().metrics.overload_rejections() >= 1);
         drop(pin);
-        drop(fill);
+        server.shutdown();
+    }
+
+    #[test]
+    fn idle_connections_do_not_pin_the_worker_pool() {
+        // One worker and a reap timeout longer than the deadline below: a
+        // core that parked a worker on each idle socket would answer the
+        // fresh request only after the idle ones timed out, one by one.
+        let server = Server::bind(
+            ServeConfig {
+                http_workers: 1,
+                read_timeout: Duration::from_secs(3),
+                ..small_config()
+            },
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        let addr = server.addr();
+        let idle: Vec<TcpStream> = (0..4).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        let t0 = Instant::now();
+        let (status, body) = get(addr, "/healthz");
+        let waited = t0.elapsed();
+        assert_eq!(status, 200);
+        assert!(body.contains("\"status\":\"ok\""), "{body}");
+        assert!(
+            waited < Duration::from_secs(2),
+            "fresh request waited {waited:?} behind idle connections"
+        );
+        drop(idle);
+        server.shutdown();
+    }
+
+    #[test]
+    fn half_close_mid_body_gets_400_truncated_request() {
+        let server = Server::bind(small_config(), "127.0.0.1:0").unwrap();
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        // Three of ten promised body bytes, then the write side closes.
+        write!(
+            s,
+            "POST /v1/score HTTP/1.1\r\ncontent-length: 10\r\n\r\nabc"
+        )
+        .unwrap();
+        s.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut buf = String::new();
+        s.read_to_string(&mut buf).unwrap();
+        assert!(buf.starts_with("HTTP/1.1 400 "), "{buf}");
+        assert!(buf.contains("\"code\":\"truncated_request\""), "{buf}");
+        assert!(buf.contains("connection: close\r\n"), "{buf}");
         server.shutdown();
     }
 
@@ -1253,7 +1101,7 @@ mod tests {
     }
 
     #[test]
-    fn event_mode_idle_connections_time_out_and_are_counted() {
+    fn idle_connections_time_out_and_are_counted() {
         let server = Server::bind(
             ServeConfig {
                 read_timeout: Duration::from_millis(200),
@@ -1269,24 +1117,6 @@ mod tests {
         let n = s.read_to_end(&mut buf).unwrap();
         assert_eq!(n, 0, "idle connection should be closed with no bytes");
         assert!(server.state().metrics.conn_timeouts() >= 1);
-        server.shutdown();
-    }
-
-    #[test]
-    fn threaded_mode_idle_timeouts_are_counted() {
-        let server = Server::bind(
-            ServeConfig {
-                mode: ServeMode::Threaded,
-                read_timeout: Duration::from_millis(200),
-                ..small_config()
-            },
-            "127.0.0.1:0",
-        )
-        .unwrap();
-        let s = TcpStream::connect(server.addr()).unwrap();
-        std::thread::sleep(Duration::from_millis(600));
-        assert!(server.state().metrics.conn_timeouts() >= 1);
-        drop(s);
         server.shutdown();
     }
 

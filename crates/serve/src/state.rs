@@ -42,40 +42,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Which serving core handles sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeMode {
-    /// Nonblocking epoll reactor: one event thread owns every socket,
-    /// CPU work runs on the worker pool, connections never pin threads.
-    /// Supports pipelining, idle timeouts, per-tenant rate limits, and
-    /// chunked streaming. The default.
-    Event,
-    /// The PR-3 worker-per-connection core: each accepted connection holds
-    /// a blocking worker thread for its whole keep-alive lifetime. Kept as
-    /// the baseline the load harness measures the reactor against.
-    Threaded,
-}
-
-impl std::str::FromStr for ServeMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "event" => Ok(ServeMode::Event),
-            "threaded" => Ok(ServeMode::Threaded),
-            other => Err(format!("unknown serve mode `{other}` (event|threaded)")),
-        }
-    }
-}
-
-impl std::fmt::Display for ServeMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ServeMode::Event => "event",
-            ServeMode::Threaded => "threaded",
-        })
-    }
-}
-
 /// How first-touch resolution treats a store miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransferMode {
@@ -113,9 +79,6 @@ impl std::fmt::Display for TransferMode {
 /// Serving configuration (model world + HTTP tunables).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Socket core: event-driven reactor (default) or the legacy
-    /// worker-per-connection pool.
-    pub mode: ServeMode,
     /// Dataset scale every registry entry is generated at.
     pub scale: Scale,
     /// Master seed: dataset generation, training, and CERTA's candidate
@@ -129,12 +92,14 @@ pub struct ServeConfig {
     pub explain_workers: usize,
     /// HTTP worker threads (0 = one per available core).
     pub http_workers: usize,
-    /// Bound on queued connections before the accept loop answers `503`.
+    /// Cap on open connections (one more gets `503` at the door) and on
+    /// parsed requests queued for the worker pool (`503` past it).
     pub queue_depth: usize,
     /// Bound on request bodies (`413` beyond it).
     pub max_body_bytes: usize,
-    /// Per-read socket timeout; idle keep-alive connections are dropped
-    /// after it so they cannot pin workers forever.
+    /// Idle-reap timeout: a connection with nothing in flight and no bytes
+    /// received for this long is closed (counted in
+    /// `certa_serve_conn_timeouts_total`).
     pub read_timeout: Duration,
     /// Maximum pipelined requests queued per connection before the reactor
     /// stops reading from that socket (TCP backpressure; the overflow is
@@ -171,7 +136,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            mode: ServeMode::Event,
             scale: Scale::Smoke,
             seed: 7,
             tau: 100,
@@ -321,9 +285,6 @@ struct TransferQuality {
     similarity: f64,
     /// Test-split F1 of the fine-tuned (served) model.
     tuned_f1: f64,
-    /// `tuned_f1` minus the test-split F1 of the shadow cold-trained
-    /// baseline — negative means the transfer cost quality.
-    delta: f64,
 }
 
 /// Transfer-mode state behind one lock: the lazily scanned repository
@@ -727,11 +688,10 @@ impl Registry {
     /// models by dataset-signature similarity, and fine-tune from the
     /// nearest same-family donor above [`ServeConfig::transfer_floor`]
     /// instead of cold-initializing. The tuned model is persisted signed
-    /// (so the next process gets a plain store hit) and its quality —
-    /// similarity, tuned test-F1, and the delta against a shadow
-    /// cold-trained baseline — lands in `/metrics`. The shadow baseline is
-    /// a first-touch-only observability cost; the fine-tune speedup itself
-    /// is gated by `bench_repo` on the trainer entry points directly.
+    /// (so the next process gets a plain store hit) and its donor
+    /// similarity and tuned test-F1 land in `/metrics`. The quality cost
+    /// against a cold train is gated offline by `bench_repo`, so serving
+    /// never pays for a second, cold training run.
     ///
     /// Returns `None` (counting a transfer miss) when the mode is off, no
     /// store is configured, or no qualifying donor fine-tunes successfully.
@@ -785,11 +745,9 @@ impl Registry {
             let Some((tuned, report)) = fine_tune_model(kind, dataset, &base, &cfg) else {
                 continue;
             };
-            let (_, cold) = train_model(kind, dataset, &cfg);
             let quality = TransferQuality {
                 similarity,
                 tuned_f1: report.test_f1,
-                delta: report.test_f1 - cold.test_f1,
             };
             self.transfer_hits.fetch_add(1, Ordering::Relaxed);
             if !dataset_was_stored {
@@ -987,9 +945,8 @@ impl Registry {
     }
 
     /// Transfer-mode lines for the `/metrics` exposition: hit/miss
-    /// counters plus, per transferred model, the donor similarity, the
-    /// tuned test-F1, and the quality delta against the shadow
-    /// cold-trained baseline (negative = the transfer cost quality).
+    /// counters plus, per transferred model, the donor similarity and the
+    /// tuned test-F1.
     pub fn transfer_metric_lines(&self) -> String {
         let (hits, misses) = self.transfer_stats();
         let mut out = String::new();
@@ -1022,14 +979,6 @@ impl Registry {
                 out.push_str(&format!(
                     "certa_serve_transfer_test_f1{{model=\"{name}\"}} {}\n",
                     q.tuned_f1
-                ));
-            }
-            out.push_str("# TYPE certa_serve_transfer_f1_delta gauge\n");
-            for (name, q) in &quality {
-                // certa-lint: allow(no-float-format) — monitoring gauge, not byte-compared wire output; f64 Display is shortest-round-trip
-                out.push_str(&format!(
-                    "certa_serve_transfer_f1_delta{{model=\"{name}\"}} {}\n",
-                    q.delta
                 ));
             }
         }
@@ -1259,10 +1208,7 @@ mod tests {
             lines.contains("certa_serve_transfer_test_f1{model=\"FZ/DeepMatcher\"}"),
             "{lines}"
         );
-        assert!(
-            lines.contains("certa_serve_transfer_f1_delta{model=\"FZ/DeepMatcher\"}"),
-            "{lines}"
-        );
+        assert!(!lines.contains("f1_delta"), "{lines}");
         let u = entry.dataset.left().records()[0].clone();
         let v = entry.dataset.right().records()[0].clone();
         assert!((0.0..=1.0).contains(&entry.matcher().score(&u, &v)));
