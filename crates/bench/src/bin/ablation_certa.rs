@@ -1,4 +1,4 @@
-//! Ablation study of CERTA's design choices (DESIGN.md §3) — beyond the
+//! Ablation study of CERTA's design choices — beyond the
 //! paper's own ablations (τ in Figure 11, monotonicity in Table 7,
 //! augmentation in Tables 8–10), this isolates each switch on one dataset
 //! and reports both *cost* (model calls per explanation) and *quality*

@@ -1,138 +1,7 @@
 //! Figures 1–5: the introduction walkthrough on Abt-Buy.
 //!
-//! * Figure 1–2: sample record pairs and the three systems' predictions;
-//! * Figure 3: saliency explanations (top-2 attributes) of an interesting
-//!   (ideally misclassified) match pair, per method;
-//! * Figure 4: the faithfulness spot-check — copy the top-2 salient
-//!   attribute values across the pair and re-score;
-//! * Figure 5: counterfactual explanations by CERTA vs DiCE, with the score
-//!   of the modified pair.
-
-use certa_baselines::{CfMethod, SaliencyMethod};
-use certa_bench::{banner, CliOptions};
-use certa_core::{LabeledPair, Matcher, Split};
-use certa_datagen::DatasetId;
-use certa_eval::grid::{GridConfig, PreparedDataset};
-use certa_eval::masking::copy_salient;
-use certa_eval::TableBuilder;
+//! Renders [`certa_bench::artifacts::FIG01_05`].
 
 fn main() {
-    let opts = CliOptions::from_env();
-    banner("Figures 1-5 — Introduction walkthrough on Abt-Buy", &opts);
-    let mut cfg: GridConfig = opts.grid();
-    cfg.datasets = vec![DatasetId::AB];
-    let p = PreparedDataset::build(DatasetId::AB, &cfg);
-
-    // ---- Figures 1-2: sample matching pairs + predictions. -------------
-    let matches: Vec<LabeledPair> = p
-        .dataset
-        .split(Split::Test)
-        .iter()
-        .filter(|lp| lp.label.is_match())
-        .take(3)
-        .copied()
-        .collect();
-    println!("--- Figure 1: sample records ---");
-    for (i, lp) in matches.iter().enumerate() {
-        let (u, v) = p.dataset.expect_pair(lp.pair);
-        println!("u{} = {}", i + 1, u.display_with(p.dataset.left().schema()));
-        println!(
-            "v{} = {}",
-            i + 1,
-            v.display_with(p.dataset.right().schema())
-        );
-    }
-    println!();
-
-    println!("--- Figure 2: predictions (all pairs are true matches) ---");
-    let mut fig2 = TableBuilder::new("Matching scores").header(
-        std::iter::once("Pair".to_string())
-            .chain(cfg.models.iter().map(|m| m.paper_name().to_string())),
-    );
-    let mut interesting: Option<LabeledPair> = None;
-    for (i, lp) in matches.iter().enumerate() {
-        let (u, v) = p.dataset.expect_pair(lp.pair);
-        let mut row = vec![format!("(u{0}, v{0})", i + 1)];
-        for &model in &cfg.models {
-            let matcher = p.zoo.matcher(model);
-            let pred = matcher.prediction(u, v);
-            row.push(format!("{} ({:.2})", pred.label, pred.score));
-            if !pred.is_match() && interesting.is_none() {
-                interesting = Some(*lp); // a misclassified match, as in Fig. 2
-            }
-        }
-        fig2.row(row);
-    }
-    println!("{}", fig2.render());
-
-    let target = interesting.or_else(|| matches.first().copied());
-    let Some(target) = target else {
-        println!("no match pairs in the test split — stopping after Figure 2");
-        return;
-    };
-    let (u, v) = p.dataset.expect_pair(target.pair);
-
-    // ---- Figures 3-4: saliency explanations + copy spot-check. ---------
-    println!("--- Figures 3-4: saliency explanations of the studied pair ---");
-    for &model in &cfg.models {
-        let matcher = p.cached_matcher(model);
-        let original = matcher.score(u, v);
-        let mut table = TableBuilder::new(format!(
-            "{} (original score {:.3})",
-            model.paper_name(),
-            original
-        ))
-        .header(["Method", "Top-2 attributes", "Score after copying them"]);
-        for method in SaliencyMethod::all() {
-            let explainer = method.build(cfg.certa_config(), cfg.seed);
-            let phi = explainer.explain_saliency(&matcher, &p.dataset, u, v);
-            let top2 = phi.top_k(2);
-            let names: Vec<String> = top2.iter().map(|a| a.qualified(&p.dataset)).collect();
-            let (cu, cv) = copy_salient(u, v, &top2);
-            let new_score = matcher.score(&cu, &cv);
-            table.row([
-                method.paper_name().to_string(),
-                names.join(", "),
-                format!("{new_score:.3}"),
-            ]);
-        }
-        println!("{}", table.render());
-    }
-
-    // ---- Figure 5: counterfactuals, CERTA vs DiCE. ----------------------
-    println!("--- Figure 5: counterfactual explanations (CERTA vs DiCE) ---");
-    for &model in &cfg.models {
-        let matcher = p.cached_matcher(model);
-        println!(
-            "{} on the studied pair (original score {:.3}):",
-            model.paper_name(),
-            matcher.score(u, v)
-        );
-        for method in [CfMethod::Certa, CfMethod::Dice] {
-            let explainer = method.build(cfg.certa_config(), cfg.seed);
-            let cf = explainer.explain_counterfactual(&matcher, &p.dataset, u, v);
-            match cf.examples.first() {
-                Some(ex) => {
-                    let changed: Vec<String> =
-                        ex.changed.iter().map(|a| a.qualified(&p.dataset)).collect();
-                    println!(
-                        "  {:<6} score {:.2}  changed [{}]",
-                        method.paper_name(),
-                        ex.score,
-                        changed.join(", ")
-                    );
-                    println!(
-                        "         u' = {}",
-                        ex.left.display_with(p.dataset.left().schema())
-                    );
-                    println!(
-                        "         v' = {}",
-                        ex.right.display_with(p.dataset.right().schema())
-                    );
-                }
-                None => println!("  {:<6} produced no counterfactual", method.paper_name()),
-            }
-        }
-        println!();
-    }
+    certa_bench::artifacts::FIG01_05.main();
 }

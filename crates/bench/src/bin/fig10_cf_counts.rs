@@ -1,38 +1,7 @@
-//! Figure 10: average number of counterfactual examples generated per
-//! method, aggregated per classifier across all datasets.
-
-use certa_baselines::CfMethod;
-use certa_bench::{banner, CliOptions};
-use certa_eval::grid::{prepare, run_cf_grid};
-use certa_eval::TableBuilder;
+//! Figure 10: average number of counterfactual examples per method.
+//!
+//! Renders [`certa_bench::artifacts::FIG10`].
 
 fn main() {
-    let opts = CliOptions::from_env();
-    banner(
-        "Figure 10 — Average number of CF examples per method",
-        &opts,
-    );
-    let cfg = opts.grid();
-    let prepared = prepare(&cfg);
-    let methods = CfMethod::all();
-    let cells = run_cf_grid(&prepared, &cfg, &methods);
-
-    let mut table = TableBuilder::new("Mean #CF examples (bars of Figure 10)").header(
-        std::iter::once("Model".to_string())
-            .chain(methods.iter().map(|m| m.paper_name().to_string())),
-    );
-    for &model in &cfg.models {
-        let mut row = vec![model.paper_name().to_string()];
-        for &method in &methods {
-            let vals: Vec<f64> = cells
-                .iter()
-                .filter(|c| c.model == model && c.method == method)
-                .map(|c| c.value.count)
-                .collect();
-            let mean = vals.iter().sum::<f64>() / vals.len().max(1) as f64;
-            row.push(format!("{mean:.2}"));
-        }
-        table.row(row);
-    }
-    println!("{}", table.render());
+    certa_bench::artifacts::FIG10.main();
 }

@@ -1,74 +1,7 @@
-//! Figure 11: all seven panel metrics as the triangle budget τ grows, on
-//! WA, AB, DDA and IA, averaged across the three classifiers (§5.5).
-
-use certa_bench::{banner, CliOptions};
-use certa_datagen::DatasetId;
-use certa_eval::grid::{GridConfig, PreparedDataset};
-use certa_eval::triangle_sweep::{sweep_point, SweepPoint};
-use certa_eval::TableBuilder;
+//! Figure 11: the panel metrics as the triangle budget τ grows.
+//!
+//! Renders [`certa_bench::artifacts::FIG11`].
 
 fn main() {
-    let opts = CliOptions::from_env();
-    banner("Figure 11 — Metrics vs number of triangles", &opts);
-    let mut cfg: GridConfig = opts.grid();
-    cfg.datasets = vec![DatasetId::WA, DatasetId::AB, DatasetId::DDA, DatasetId::IA];
-    let taus: Vec<usize> = match opts.tau {
-        Some(t) => vec![t],
-        None => vec![5, 10, 20, 35, 50, 75, 100],
-    };
-
-    for &id in &cfg.datasets {
-        let p = PreparedDataset::build(id, &cfg);
-        let mut table = TableBuilder::new(format!(
-            "{id}: averaged over {} classifiers, {} explained pairs",
-            cfg.models.len(),
-            p.explained.len()
-        ))
-        .header([
-            "tau",
-            "(a) suff.",
-            "(b) nec.",
-            "(c) CI",
-            "(d) faith.",
-            "(e) prox.",
-            "(f) spars.",
-            "(g) div.",
-        ]);
-        for &tau in &taus {
-            let mut acc = SweepPoint {
-                tau,
-                sufficiency: 0.0,
-                necessity: 0.0,
-                confidence: 0.0,
-                faithfulness: 0.0,
-                proximity: 0.0,
-                sparsity: 0.0,
-                diversity: 0.0,
-            };
-            for &model in &cfg.models {
-                let matcher = p.cached_matcher(model);
-                let pt = sweep_point(&matcher, &p.dataset, &p.explained, &cfg.certa_config(), tau);
-                acc.sufficiency += pt.sufficiency;
-                acc.necessity += pt.necessity;
-                acc.confidence += pt.confidence;
-                acc.faithfulness += pt.faithfulness;
-                acc.proximity += pt.proximity;
-                acc.sparsity += pt.sparsity;
-                acc.diversity += pt.diversity;
-            }
-            let n = cfg.models.len() as f64;
-            table.row([
-                tau.to_string(),
-                format!("{:.3}", acc.sufficiency / n),
-                format!("{:.3}", acc.necessity / n),
-                format!("{:.3}", acc.confidence / n),
-                format!("{:.3}", acc.faithfulness / n),
-                format!("{:.3}", acc.proximity / n),
-                format!("{:.3}", acc.sparsity / n),
-                format!("{:.3}", acc.diversity / n),
-            ]);
-        }
-        println!("{}", table.render());
-        println!();
-    }
+    certa_bench::artifacts::FIG11.main();
 }

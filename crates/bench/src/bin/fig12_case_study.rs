@@ -1,72 +1,7 @@
-//! Figure 12: qualitative case study on the BA dataset with the Ditto-sim
-//! classifier — per-attribute actual saliency vs each method, plus Aggr@k
-//! (§5.8). One panel per available outcome class (TP / TN / FP / FN).
-
-use certa_baselines::SaliencyMethod;
-use certa_bench::{banner, CliOptions};
-use certa_core::Split;
-use certa_datagen::DatasetId;
-use certa_eval::casestudy::{case_study, pick_cases};
-use certa_eval::grid::{GridConfig, PreparedDataset};
-use certa_eval::TableBuilder;
-use certa_models::ModelKind;
+//! Figure 12: the case study of Ditto on BA.
+//!
+//! Renders [`certa_bench::artifacts::FIG12`].
 
 fn main() {
-    let opts = CliOptions::from_env();
-    banner("Figure 12 — Case study: Ditto on BA", &opts);
-    let mut cfg: GridConfig = opts.grid();
-    cfg.datasets = vec![DatasetId::BA];
-    let p = PreparedDataset::build(DatasetId::BA, &cfg);
-    let matcher = p.cached_matcher(ModelKind::Ditto);
-    let methods = SaliencyMethod::all();
-
-    let test_pairs = p.dataset.split(Split::Test).to_vec();
-    let cases = pick_cases(&matcher, &p.dataset, &test_pairs);
-    if cases.is_empty() {
-        println!("no test pairs available — nothing to study");
-        return;
-    }
-
-    for (lp, kind) in cases {
-        let cs = case_study(
-            &matcher,
-            &p.dataset,
-            lp,
-            kind,
-            &methods,
-            cfg.certa_config(),
-            cfg.seed,
-        );
-        let label = if lp.label.is_match() { 1 } else { 0 };
-        let mut table = TableBuilder::new(format!("({kind}) Label={label}, Score={:.2}", cs.score))
-            .header(
-                ["Attribute", "Actual"]
-                    .into_iter()
-                    .map(str::to_string)
-                    .chain(methods.iter().map(|m| m.paper_name().to_string())),
-            );
-        for row in &cs.rows {
-            let mut cells = vec![row.attr.qualified(&p.dataset), format!("{:.3}", row.actual)];
-            for (_, s) in &row.by_method {
-                cells.push(format!("{s:.3}"));
-            }
-            table.row(cells);
-        }
-        println!("{}", table.render());
-
-        let mut aggr = TableBuilder::new("Aggr@k (score change when masking each method's top-k)")
-            .header(
-                std::iter::once("Method".to_string())
-                    .chain((1..=cs.rows.len()).map(|k| format!("@{k}"))),
-            );
-        for (m, series) in &cs.aggr {
-            let mut cells = vec![m.paper_name().to_string()];
-            for v in series {
-                cells.push(format!("{v:.2}"));
-            }
-            aggr.row(cells);
-        }
-        println!("{}", aggr.render());
-        println!();
-    }
+    certa_bench::artifacts::FIG12.main();
 }

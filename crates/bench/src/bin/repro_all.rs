@@ -1,24 +1,16 @@
-//! Regenerate every table and figure in one process, sharing generated
-//! datasets and trained models across experiments. This is the binary whose
-//! output EXPERIMENTS.md records:
+//! Regenerate every table and figure of the paper in one process: prepare
+//! all twelve datasets once, print the matcher quality they reach, then
+//! render every artifact of [`certa_bench::artifacts::PAPER_ORDER`] under a
+//! `## <title>` heading. Each section equals the stdout of that artifact's
+//! own binary after its banner.
 //!
 //! ```text
-//! cargo run --release -p certa-bench --bin repro_all -- --scale default \
-//!     2>&1 | tee experiments_output.txt
+//! cargo run --release -p certa-bench --bin repro_all -- --scale default
 //! ```
 
-use certa_baselines::{CfMethod, SaliencyMethod};
+use certa_bench::artifacts::{Run, PAPER_ORDER};
 use certa_bench::{banner, CliOptions};
-use certa_datagen::{table1_rows, DatasetId};
-use certa_eval::augmentation::{augmentation_effect, natural_triangle_supply};
-use certa_eval::casestudy::{case_study, pick_cases};
-use certa_eval::cf_metrics::CfMetricKind;
-use certa_eval::confidence::confidence_indication;
-use certa_eval::faithfulness::faithfulness_auc;
-use certa_eval::grid::{prepare, run_cf_grid, run_saliency_grid, GridConfig, PreparedDataset};
-use certa_eval::monotonicity::audit;
-use certa_eval::report::{render_cf_table, render_saliency_table};
-use certa_eval::triangle_sweep::{sweep_point, SweepPoint};
+use certa_datagen::DatasetId;
 use certa_eval::TableBuilder;
 use certa_models::ModelKind;
 use std::time::Instant;
@@ -26,37 +18,13 @@ use std::time::Instant;
 fn main() {
     let opts = CliOptions::from_env();
     banner("repro_all — every table and figure of the paper", &opts);
-    let cfg: GridConfig = opts.grid();
     let t0 = Instant::now();
 
-    // ---------------- Table 1 ----------------
-    println!("## Table 1 — dataset characteristics\n");
-    let rows = table1_rows(cfg.scale, cfg.seed);
-    let mut t1 = TableBuilder::new(format!("scale `{}`", cfg.scale)).header([
-        "Dataset",
-        "Matches",
-        "Attr.s",
-        "Records (L-R)",
-        "Values (L-R)",
-    ]);
-    for s in &rows {
-        t1.row([
-            s.id.code().to_string(),
-            s.matches.to_string(),
-            s.attrs.to_string(),
-            format!("{} - {}", s.records.0, s.records.1),
-            format!("{} - {}", s.values.0, s.values.1),
-        ]);
-    }
-    println!("{}", t1.render());
-    eprintln!("[{:?}] table 1 done", t0.elapsed());
-
-    // ---------------- Shared preparation ----------------
-    let prepared = prepare(&cfg);
+    let run = Run::new(opts, &DatasetId::all());
     eprintln!(
-        "[{:?}] {} datasets prepared (zoo F1s below)",
+        "[{:?}] {} datasets prepared",
         t0.elapsed(),
-        prepared.len()
+        run.prepared().len()
     );
     let mut zoo_table = TableBuilder::new("Matcher quality (test F1)").header([
         "Dataset",
@@ -64,7 +32,7 @@ fn main() {
         "DeepMatcher",
         "Ditto",
     ]);
-    for p in &prepared {
+    for p in run.prepared() {
         zoo_table.row([
             p.id.code().to_string(),
             format!("{:.2}", p.zoo.report(ModelKind::DeepEr).test_f1),
@@ -74,319 +42,10 @@ fn main() {
     }
     println!("{}", zoo_table.render());
 
-    // ---------------- Tables 2-3 ----------------
-    let sal_methods = SaliencyMethod::all();
-    let faith_cells = run_saliency_grid(&prepared, &cfg, &sal_methods, |m, d, e, p| {
-        faithfulness_auc(m, d, e, p)
-    });
-    println!("## Table 2 — faithfulness (lower = better)\n");
-    println!(
-        "{}",
-        render_saliency_table(
-            "Faithfulness AUC",
-            &faith_cells,
-            &cfg.models,
-            &sal_methods,
-            &cfg.datasets,
-            true
-        )
-    );
-    eprintln!("[{:?}] table 2 done", t0.elapsed());
-
-    let ci_cells = run_saliency_grid(&prepared, &cfg, &sal_methods, |m, d, e, p| {
-        confidence_indication(m, d, e, p)
-    });
-    println!("## Table 3 — confidence indication (lower = better)\n");
-    println!(
-        "{}",
-        render_saliency_table(
-            "Confidence MAE",
-            &ci_cells,
-            &cfg.models,
-            &sal_methods,
-            &cfg.datasets,
-            true
-        )
-    );
-    eprintln!("[{:?}] table 3 done", t0.elapsed());
-
-    // ---------------- Tables 4-6 + Figure 10 ----------------
-    let cf_methods = CfMethod::all();
-    let cf_cells = run_cf_grid(&prepared, &cfg, &cf_methods);
-    for (title, metric) in [
-        (
-            "## Table 4 — proximity (higher = better)",
-            CfMetricKind::Proximity,
-        ),
-        (
-            "## Table 5 — sparsity (higher = better)",
-            CfMetricKind::Sparsity,
-        ),
-        (
-            "## Table 6 — diversity (higher = better)",
-            CfMetricKind::Diversity,
-        ),
-    ] {
-        println!("{title}\n");
-        println!(
-            "{}",
-            render_cf_table(
-                "",
-                &cf_cells,
-                &cfg.models,
-                &cf_methods,
-                &cfg.datasets,
-                metric
-            )
-        );
+    for artifact in PAPER_ORDER {
+        println!("## {}\n", artifact.title);
+        print!("{}", artifact.render(&run));
+        eprintln!("[{:?}] {} done", t0.elapsed(), artifact.title);
     }
-    println!("## Figure 10 — average number of CF examples\n");
-    let mut f10 = TableBuilder::new("Mean #CF examples").header(
-        std::iter::once("Model".to_string())
-            .chain(cf_methods.iter().map(|m| m.paper_name().to_string())),
-    );
-    for &model in &cfg.models {
-        let mut row = vec![model.paper_name().to_string()];
-        for &method in &cf_methods {
-            let vals: Vec<f64> = cf_cells
-                .iter()
-                .filter(|c| c.model == model && c.method == method)
-                .map(|c| c.value.count)
-                .collect();
-            row.push(format!(
-                "{:.2}",
-                vals.iter().sum::<f64>() / vals.len().max(1) as f64
-            ));
-        }
-        f10.row(row);
-    }
-    println!("{}", f10.render());
-    eprintln!("[{:?}] tables 4-6 + figure 10 done", t0.elapsed());
-
-    // ---------------- Figure 11 ----------------
-    println!("## Figure 11 — metrics vs τ (WA, AB, DDA, IA)\n");
-    let sweep_ids = [DatasetId::WA, DatasetId::AB, DatasetId::DDA, DatasetId::IA];
-    let taus = [5usize, 10, 20, 35, 50, 75, 100];
-    for &id in &sweep_ids {
-        let p = prepared
-            .iter()
-            .find(|p| p.id == id)
-            .expect("sweep dataset prepared");
-        let mut table = TableBuilder::new(format!("{id}")).header([
-            "tau",
-            "(a) suff.",
-            "(b) nec.",
-            "(c) CI",
-            "(d) faith.",
-            "(e) prox.",
-            "(f) spars.",
-            "(g) div.",
-        ]);
-        for &tau in &taus {
-            let mut acc = SweepPoint {
-                tau,
-                sufficiency: 0.0,
-                necessity: 0.0,
-                confidence: 0.0,
-                faithfulness: 0.0,
-                proximity: 0.0,
-                sparsity: 0.0,
-                diversity: 0.0,
-            };
-            for &model in &cfg.models {
-                let matcher = p.cached_matcher(model);
-                let pt = sweep_point(&matcher, &p.dataset, &p.explained, &cfg.certa_config(), tau);
-                acc.sufficiency += pt.sufficiency;
-                acc.necessity += pt.necessity;
-                acc.confidence += pt.confidence;
-                acc.faithfulness += pt.faithfulness;
-                acc.proximity += pt.proximity;
-                acc.sparsity += pt.sparsity;
-                acc.diversity += pt.diversity;
-            }
-            let n = cfg.models.len() as f64;
-            table.row([
-                tau.to_string(),
-                format!("{:.3}", acc.sufficiency / n),
-                format!("{:.3}", acc.necessity / n),
-                format!("{:.3}", acc.confidence / n),
-                format!("{:.3}", acc.faithfulness / n),
-                format!("{:.3}", acc.proximity / n),
-                format!("{:.3}", acc.sparsity / n),
-                format!("{:.3}", acc.diversity / n),
-            ]);
-        }
-        println!("{}", table.render());
-    }
-    eprintln!("[{:?}] figure 11 done", t0.elapsed());
-
-    // ---------------- Table 7 ----------------
-    println!("## Table 7 — monotonicity audit\n");
-    let audit_ids = [
-        DatasetId::AB,
-        DatasetId::BA,
-        DatasetId::WA,
-        DatasetId::DDS,
-        DatasetId::IA,
-    ];
-    let mut audit_cfg = cfg.certa_config();
-    audit_cfg.num_triangles = audit_cfg.num_triangles.min(20);
-    let mut t7 = TableBuilder::new("Per-lattice averages").header([
-        "Dataset",
-        "Attributes",
-        "Expected",
-        "Performed",
-        "Saved",
-        "Error rate",
-    ]);
-    for &id in &audit_ids {
-        let p = prepared
-            .iter()
-            .find(|p| p.id == id)
-            .expect("audit dataset prepared");
-        let mut performed = 0.0;
-        let mut saved = 0.0;
-        let mut err = 0.0;
-        let mut lattices = 0usize;
-        let mut expected = 0.0;
-        let mut attrs = 0usize;
-        for &model in &cfg.models {
-            let matcher = p.cached_matcher(model);
-            let a = audit(&matcher, &p.dataset, &p.explained, &audit_cfg);
-            performed += a.performed * a.lattices as f64;
-            saved += a.saved * a.lattices as f64;
-            err += a.error_rate * a.lattices as f64;
-            lattices += a.lattices;
-            expected = a.expected;
-            attrs = a.attributes;
-        }
-        let n = lattices.max(1) as f64;
-        t7.row([
-            id.code().to_string(),
-            attrs.to_string(),
-            format!("{expected:.0}"),
-            format!("{:.2}", performed / n),
-            format!("{:.2}", saved / n),
-            format!("{:.3}", err / n),
-        ]);
-    }
-    println!("{}", t7.render());
-    eprintln!("[{:?}] table 7 done", t0.elapsed());
-
-    // ---------------- Tables 8-10 ----------------
-    println!("## Table 8 — natural triangle supply without augmentation\n");
-    let aug_ids = [DatasetId::BA, DatasetId::FZ];
-    let aug_models = [ModelKind::DeepMatcher, ModelKind::Ditto];
-    let mut t8 = TableBuilder::new(format!("target τ = {}", cfg.tau)).header([
-        "Dataset",
-        "DeepMatcher",
-        "Ditto",
-    ]);
-    for &id in &aug_ids {
-        let p = prepared
-            .iter()
-            .find(|p| p.id == id)
-            .expect("aug dataset prepared");
-        let mut row = vec![id.code().to_string()];
-        for &model in &aug_models {
-            let matcher = p.cached_matcher(model);
-            let supply =
-                natural_triangle_supply(&matcher, &p.dataset, &p.explained, &cfg.certa_config());
-            row.push(format!("{supply:.1}"));
-        }
-        t8.row(row);
-    }
-    println!("{}", t8.render());
-    eprintln!("[{:?}] table 8 done", t0.elapsed());
-
-    println!("## Tables 9-10 — augmentation-only deltas\n");
-    for (model, label) in [
-        (ModelKind::DeepMatcher, "Table 9 (DeepMatcher)"),
-        (ModelKind::Ditto, "Table 10 (Ditto)"),
-    ] {
-        let mut t = TableBuilder::new(label).header([
-            "Dataset",
-            "ΔProximity",
-            "ΔSparsity",
-            "ΔDiversity",
-            "ΔFaithfulness",
-            "ΔCI",
-        ]);
-        for &id in &aug_ids {
-            let p = prepared
-                .iter()
-                .find(|p| p.id == id)
-                .expect("aug dataset prepared");
-            let matcher = p.cached_matcher(model);
-            let eff = augmentation_effect(&matcher, &p.dataset, &p.explained, &cfg.certa_config());
-            t.row([
-                id.code().to_string(),
-                format!("{:+.3}", eff.proximity),
-                format!("{:+.3}", eff.sparsity),
-                format!("{:+.3}", eff.diversity),
-                format!("{:+.3}", eff.faithfulness),
-                format!("{:+.3}", eff.confidence),
-            ]);
-        }
-        println!("{}", t.render());
-    }
-    eprintln!("[{:?}] tables 9-10 done", t0.elapsed());
-
-    // ---------------- Figure 12 ----------------
-    println!("## Figure 12 — case study (Ditto on BA)\n");
-    let p = prepared
-        .iter()
-        .find(|p| p.id == DatasetId::BA)
-        .expect("BA prepared");
-    let matcher = p.cached_matcher(ModelKind::Ditto);
-    let test_pairs = p.dataset.split(certa_core::Split::Test).to_vec();
-    for (lp, kind) in pick_cases(&matcher, &p.dataset, &test_pairs) {
-        let cs = case_study(
-            &matcher,
-            &p.dataset,
-            lp,
-            kind,
-            &sal_methods,
-            cfg.certa_config(),
-            cfg.seed,
-        );
-        let mut table = TableBuilder::new(format!(
-            "({kind}) Label={}, Score={:.2}",
-            u8::from(lp.label.is_match()),
-            cs.score
-        ))
-        .header(
-            ["Attribute", "Actual"]
-                .into_iter()
-                .map(str::to_string)
-                .chain(sal_methods.iter().map(|m| m.paper_name().to_string())),
-        );
-        for row in &cs.rows {
-            let mut cells = vec![row.attr.qualified(&p.dataset), format!("{:.3}", row.actual)];
-            for (_, s) in &row.by_method {
-                cells.push(format!("{s:.3}"));
-            }
-            table.row(cells);
-        }
-        println!("{}", table.render());
-        let mut aggr = TableBuilder::new("Aggr@k").header(
-            std::iter::once("Method".to_string())
-                .chain((1..=cs.rows.len()).map(|k| format!("@{k}"))),
-        );
-        for (m, series) in &cs.aggr {
-            let mut cells = vec![m.paper_name().to_string()];
-            cells.extend(series.iter().map(|v| format!("{v:.2}")));
-            aggr.row(cells);
-        }
-        println!("{}", aggr.render());
-    }
-    eprintln!(
-        "[{:?}] figure 12 done — all artifacts regenerated",
-        t0.elapsed()
-    );
-    println!("\nall artifacts regenerated in {:?}", t0.elapsed());
+    println!("all artifacts regenerated in {:?}", t0.elapsed());
 }
-
-/// Ensure PreparedDataset stays in scope for doc purposes.
-#[allow(dead_code)]
-fn _types(_: &PreparedDataset) {}

@@ -1,38 +1,7 @@
-//! Table 1: dataset characteristics of the twelve generated benchmarks,
-//! side by side with the paper's reference numbers.
-
-use certa_bench::{banner, CliOptions};
-use certa_datagen::{table1_rows, DatasetId};
-use certa_eval::TableBuilder;
+//! Table 1: dataset characteristics of the twelve generated benchmarks.
+//!
+//! Renders [`certa_bench::artifacts::TABLE1`].
 
 fn main() {
-    let opts = CliOptions::from_env();
-    banner("Table 1 — Datasets for experimental evaluation", &opts);
-
-    let rows = table1_rows(opts.scale, opts.seed);
-    let mut table = TableBuilder::new(format!("Generated at scale `{}`", opts.scale)).header([
-        "Dataset",
-        "Matches",
-        "Attr.s",
-        "Records (L-R)",
-        "Values (L-R)",
-        "Paper matches",
-        "Paper records (L-R)",
-    ]);
-    for stats in &rows {
-        let spec = stats.id.spec();
-        table.row([
-            stats.id.code().to_string(),
-            stats.matches.to_string(),
-            stats.attrs.to_string(),
-            format!("{} - {}", stats.records.0, stats.records.1),
-            format!("{} - {}", stats.values.0, stats.values.1),
-            spec.paper_matches.to_string(),
-            format!("{} - {}", spec.paper_left, spec.paper_right),
-        ]);
-    }
-    println!("{}", table.render());
-
-    assert_eq!(rows.len(), DatasetId::all().len());
-    println!("ok: all 12 datasets generated");
+    certa_bench::artifacts::TABLE1.main();
 }

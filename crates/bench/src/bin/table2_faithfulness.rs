@@ -1,33 +1,7 @@
-//! Table 2: faithfulness (masking-AUC, lower = better) of the four saliency
-//! methods across the 3 × 12 (model, dataset) grid.
-
-use certa_baselines::SaliencyMethod;
-use certa_bench::{banner, CliOptions};
-use certa_eval::faithfulness::faithfulness_auc;
-use certa_eval::grid::{prepare, run_saliency_grid};
-use certa_eval::report::render_saliency_table;
+//! Table 2: faithfulness of the four saliency methods.
+//!
+//! Renders [`certa_bench::artifacts::TABLE2`].
 
 fn main() {
-    let opts = CliOptions::from_env();
-    banner(
-        "Table 2 — Faithfulness evaluation on saliency explanations",
-        &opts,
-    );
-    let cfg = opts.grid();
-    let prepared = prepare(&cfg);
-    let methods = SaliencyMethod::all();
-    let cells = run_saliency_grid(&prepared, &cfg, &methods, |m, d, e, p| {
-        faithfulness_auc(m, d, e, p)
-    });
-    println!(
-        "{}",
-        render_saliency_table(
-            "Faithfulness AUC (lower = better; * = best per model block)",
-            &cells,
-            &cfg.models,
-            &methods,
-            &cfg.datasets,
-            true,
-        )
-    );
+    certa_bench::artifacts::TABLE2.main();
 }

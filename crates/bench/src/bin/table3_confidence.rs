@@ -1,33 +1,7 @@
-//! Table 3: confidence indication (MAE, lower = better) of the four
-//! saliency methods across the 3 × 12 (model, dataset) grid.
-
-use certa_baselines::SaliencyMethod;
-use certa_bench::{banner, CliOptions};
-use certa_eval::confidence::confidence_indication;
-use certa_eval::grid::{prepare, run_saliency_grid};
-use certa_eval::report::render_saliency_table;
+//! Table 3: confidence indication of the four saliency methods.
+//!
+//! Renders [`certa_bench::artifacts::TABLE3`].
 
 fn main() {
-    let opts = CliOptions::from_env();
-    banner(
-        "Table 3 — Confidence Indication evaluation on saliency explanations",
-        &opts,
-    );
-    let cfg = opts.grid();
-    let prepared = prepare(&cfg);
-    let methods = SaliencyMethod::all();
-    let cells = run_saliency_grid(&prepared, &cfg, &methods, |m, d, e, p| {
-        confidence_indication(m, d, e, p)
-    });
-    println!(
-        "{}",
-        render_saliency_table(
-            "Confidence indication MAE (lower = better; * = best per model block)",
-            &cells,
-            &cfg.models,
-            &methods,
-            &cfg.datasets,
-            true,
-        )
-    );
+    certa_bench::artifacts::TABLE3.main();
 }

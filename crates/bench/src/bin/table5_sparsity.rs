@@ -1,30 +1,7 @@
-//! Table 5: sparsity (higher = better) of the four counterfactual methods.
-
-use certa_baselines::CfMethod;
-use certa_bench::{banner, CliOptions};
-use certa_eval::cf_metrics::CfMetricKind;
-use certa_eval::grid::{prepare, run_cf_grid};
-use certa_eval::report::render_cf_table;
+//! Table 5: sparsity of the four counterfactual methods.
+//!
+//! Renders [`certa_bench::artifacts::TABLE5`].
 
 fn main() {
-    let opts = CliOptions::from_env();
-    banner(
-        "Table 5 — Sparsity evaluation on counterfactual explanations",
-        &opts,
-    );
-    let cfg = opts.grid();
-    let prepared = prepare(&cfg);
-    let methods = CfMethod::all();
-    let cells = run_cf_grid(&prepared, &cfg, &methods);
-    println!(
-        "{}",
-        render_cf_table(
-            "Sparsity (higher = better; * = best per model block)",
-            &cells,
-            &cfg.models,
-            &methods,
-            &cfg.datasets,
-            CfMetricKind::Sparsity,
-        )
-    );
+    certa_bench::artifacts::TABLE5.main();
 }

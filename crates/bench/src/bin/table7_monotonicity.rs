@@ -1,70 +1,7 @@
-//! Table 7: the monotonicity audit — expected / performed / saved lattice
-//! predictions and the wrong-inference rate, on AB, BA, WA, DDS and IA
-//! (§5.6), averaged across the three classifiers.
-
-use certa_bench::{banner, CliOptions};
-use certa_datagen::DatasetId;
-use certa_eval::grid::{GridConfig, PreparedDataset};
-use certa_eval::monotonicity::audit;
-use certa_eval::TableBuilder;
+//! Table 7: the monotonicity audit.
+//!
+//! Renders [`certa_bench::artifacts::TABLE7`].
 
 fn main() {
-    let opts = CliOptions::from_env();
-    banner("Table 7 — Monotonicity assumption audit", &opts);
-    let mut cfg: GridConfig = opts.grid();
-    cfg.datasets = vec![
-        DatasetId::AB,
-        DatasetId::BA,
-        DatasetId::WA,
-        DatasetId::DDS,
-        DatasetId::IA,
-    ];
-    // Exhaustive lattices on 8 attributes are 254 predictions each; keep the
-    // audited triangle budget modest unless overridden.
-    if opts.tau.is_none() {
-        cfg.tau = 20;
-    }
-
-    let mut table = TableBuilder::new("Per-lattice averages (across all three classifiers)")
-        .header([
-            "Dataset",
-            "Attributes",
-            "Expected",
-            "Performed",
-            "Saved",
-            "Error rate",
-            "Lattices",
-        ]);
-    for &id in &cfg.datasets {
-        let p = PreparedDataset::build(id, &cfg);
-        let mut performed = 0.0;
-        let mut saved = 0.0;
-        let mut err = 0.0;
-        let mut lattices = 0usize;
-        let mut expected = 0.0;
-        let mut attrs = 0usize;
-        for &model in &cfg.models {
-            let matcher = p.cached_matcher(model);
-            let a = audit(&matcher, &p.dataset, &p.explained, &cfg.certa_config());
-            performed += a.performed * a.lattices as f64;
-            saved += a.saved * a.lattices as f64;
-            err += a.error_rate * a.lattices as f64;
-            lattices += a.lattices;
-            expected = a.expected;
-            attrs = a.attributes;
-        }
-        let n = lattices.max(1) as f64;
-        table.row([
-            id.code().to_string(),
-            attrs.to_string(),
-            format!("{expected:.0}"),
-            format!("{:.2}", performed / n),
-            format!("{:.2}", saved / n),
-            format!("{:.3}", err / n),
-            lattices.to_string(),
-        ]);
-        println!("  audited {id} ({lattices} lattices)");
-    }
-    println!();
-    println!("{}", table.render());
+    certa_bench::artifacts::TABLE7.main();
 }

@@ -1,36 +1,7 @@
-//! Table 8: average number of open triangles CERTA can build *without* data
-//! augmentation on BA and FZ (target τ = 100), for DeepMatcher-sim and
-//! Ditto-sim (§5.7).
-
-use certa_bench::{banner, CliOptions};
-use certa_datagen::DatasetId;
-use certa_eval::augmentation::natural_triangle_supply;
-use certa_eval::grid::{GridConfig, PreparedDataset};
-use certa_eval::TableBuilder;
-use certa_models::ModelKind;
+//! Table 8: open triangles without data augmentation.
+//!
+//! Renders [`certa_bench::artifacts::TABLE8`].
 
 fn main() {
-    let opts = CliOptions::from_env();
-    banner(
-        "Table 8 — Open triangles without data augmentation (target = τ)",
-        &opts,
-    );
-    let mut cfg: GridConfig = opts.grid();
-    cfg.datasets = vec![DatasetId::BA, DatasetId::FZ];
-    cfg.models = vec![ModelKind::DeepMatcher, ModelKind::Ditto];
-
-    let mut table = TableBuilder::new(format!("Average natural triangles (τ = {})", cfg.tau))
-        .header(["Dataset", "DeepMatcher", "Ditto"]);
-    for &id in &cfg.datasets {
-        let p = PreparedDataset::build(id, &cfg);
-        let mut row = vec![id.code().to_string()];
-        for &model in &cfg.models {
-            let matcher = p.cached_matcher(model);
-            let supply =
-                natural_triangle_supply(&matcher, &p.dataset, &p.explained, &cfg.certa_config());
-            row.push(format!("{supply:.1}"));
-        }
-        table.row(row);
-    }
-    println!("{}", table.render());
+    certa_bench::artifacts::TABLE8.main();
 }

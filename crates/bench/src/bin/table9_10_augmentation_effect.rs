@@ -1,52 +1,7 @@
-//! Tables 9–10: effect of forcing augmentation-generated open triangles on
-//! the explanation metrics, for DeepMatcher-sim (Table 9) and Ditto-sim
-//! (Table 10), on BA and FZ (§5.7). Values are
-//! `metric(augmentation-only) − metric(default)`; positive
-//! proximity/sparsity/diversity and negative faithfulness/CI deltas mean
-//! augmentation helps (or at least does not hurt).
-
-use certa_bench::{banner, CliOptions};
-use certa_datagen::DatasetId;
-use certa_eval::augmentation::augmentation_effect;
-use certa_eval::grid::{GridConfig, PreparedDataset};
-use certa_eval::TableBuilder;
-use certa_models::ModelKind;
+//! Tables 9–10: effect of augmentation-only open triangles.
+//!
+//! Renders [`certa_bench::artifacts::TABLE9_10`].
 
 fn main() {
-    let opts = CliOptions::from_env();
-    banner(
-        "Tables 9-10 — Effect of augmentation-only open triangles",
-        &opts,
-    );
-    let mut cfg: GridConfig = opts.grid();
-    cfg.datasets = vec![DatasetId::BA, DatasetId::FZ];
-
-    for (model, label) in [
-        (ModelKind::DeepMatcher, "Table 9 (DeepMatcher)"),
-        (ModelKind::Ditto, "Table 10 (Ditto)"),
-    ] {
-        let mut table = TableBuilder::new(label).header([
-            "Dataset",
-            "ΔProximity",
-            "ΔSparsity",
-            "ΔDiversity",
-            "ΔFaithfulness",
-            "ΔCI",
-        ]);
-        for &id in &cfg.datasets {
-            let p = PreparedDataset::build(id, &cfg);
-            let matcher = p.cached_matcher(model);
-            let eff = augmentation_effect(&matcher, &p.dataset, &p.explained, &cfg.certa_config());
-            table.row([
-                id.code().to_string(),
-                format!("{:+.3}", eff.proximity),
-                format!("{:+.3}", eff.sparsity),
-                format!("{:+.3}", eff.diversity),
-                format!("{:+.3}", eff.faithfulness),
-                format!("{:+.3}", eff.confidence),
-            ]);
-        }
-        println!("{}", table.render());
-        println!();
-    }
+    certa_bench::artifacts::TABLE9_10.main();
 }

@@ -1,7 +1,9 @@
 //! # certa-bench
 //!
-//! The experiment harness. Every table and figure of the paper's §5 has a
-//! dedicated binary under `src/bin/` (see DESIGN.md §3 for the index); all
+//! The experiment harness. Every paper artifact (the introduction's
+//! Figures 1–5 and each table and figure of §5) renders from one function
+//! in [`artifacts`], and has a binary under `src/bin/` that prints it; the
+//! README's "Quick start" lists which binary prints which artifact. All
 //! binaries accept:
 //!
 //! ```text
@@ -12,10 +14,12 @@
 //! --workers N                     batch-engine worker threads (0 = auto)
 //! ```
 //!
-//! `cargo run --release -p certa-bench --bin repro_all` regenerates every
-//! artifact in one process (sharing trained models across tables) and is
-//! what EXPERIMENTS.md records. Criterion micro-benchmarks live under
-//! `benches/`.
+//! `cargo run --release -p certa-bench --bin repro_all` renders every
+//! artifact in one process, sharing generated datasets and trained models
+//! across them. The `bench_*` binaries are the performance and
+//! correctness gates.
+
+pub mod artifacts;
 
 use certa_datagen::Scale;
 use certa_eval::grid::GridConfig;

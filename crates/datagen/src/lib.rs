@@ -12,8 +12,7 @@
 //! exhibits (token drops, abbreviations, typos, missing values, numeric
 //! reformatting — plus attribute-value migration for the Dirty variants), and
 //! assembles labeled train/test pair splits with blocking-based hard
-//! negatives. DESIGN.md §1.2 argues why this preserves the behaviour the
-//! paper's experiments probe.
+//! negatives. This preserves the behaviour the paper's experiments probe.
 //!
 //! Entry point: [`generate`]. Everything is deterministic in
 //! `(DatasetId, Scale, seed)`.

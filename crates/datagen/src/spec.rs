@@ -123,7 +123,7 @@ pub enum Domain {
 pub enum Scale {
     /// Tiny: tens of records per side; seconds-per-table experiments.
     Smoke,
-    /// Medium: hundreds of records per side (the EXPERIMENTS.md default).
+    /// Medium: hundreds of records per side (a full reproduction run).
     Default,
     /// Approaches Table 1 sizes (large sources capped — see
     /// [`DatasetSpec::records_at`]).

@@ -31,7 +31,7 @@ pub struct GridConfig {
 
 impl GridConfig {
     /// Sensible defaults per scale: `Smoke` for CI-speed runs, `Default`
-    /// for the EXPERIMENTS.md tables, `Paper` for the closest approach to
+    /// for a full reproduction of the tables, `Paper` for the closest approach to
     /// the paper's setup (τ = 100 everywhere, per §5.3).
     pub fn for_scale(scale: Scale) -> Self {
         let n_explained = match scale {

@@ -13,7 +13,7 @@
 //! | [`augmentation`] | Tables 8–10 (triangle supply + forced-augmentation deltas) |
 //! | [`casestudy`] | Figure 12 (actual vs explained saliency, Aggr@k) |
 //! | [`grid`] | the (dataset × model × method) experiment driver |
-//! | [`report`] | ASCII/markdown table rendering |
+//! | [`report`] | plain-text table rendering |
 //!
 //! The grid parallelizes across datasets with `std::thread::scope`;
 //! every matcher is wrapped in a content-addressed score cache, so repeated
@@ -28,7 +28,6 @@ pub mod grid;
 pub mod masking;
 pub mod monotonicity;
 pub mod report;
-pub mod summary;
 pub mod triangle_sweep;
 
 pub use cf_metrics::{cf_metrics_for, CfAggregate, CfMetricKind};

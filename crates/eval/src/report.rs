@@ -1,4 +1,4 @@
-//! ASCII / Markdown table rendering for experiment outputs.
+//! Column-aligned plain-text table rendering for experiment outputs.
 
 use crate::grid::{CfCell, SaliencyCell};
 use certa_baselines::{CfMethod, SaliencyMethod};
@@ -81,20 +81,6 @@ impl TableBuilder {
         for row in &self.rows {
             out.push_str(&render_row(row));
             out.push('\n');
-        }
-        out
-    }
-
-    /// Render as a GitHub-flavoured Markdown table.
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("### {}\n\n", self.title));
-        if !self.header.is_empty() {
-            out.push_str(&format!("| {} |\n", self.header.join(" | ")));
-            out.push_str(&format!("|{}\n", "---|".repeat(self.header.len())));
-        }
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
         }
         out
     }
@@ -226,17 +212,6 @@ mod tests {
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 5); // title, header, rule, 2 rows
         assert!(lines[1].contains("long-header"));
-    }
-
-    #[test]
-    fn markdown_render_shape() {
-        let mut t = TableBuilder::new("MD").header(["x", "y"]);
-        t.row(["1", "2"]);
-        let md = t.render_markdown();
-        assert!(md.contains("### MD"));
-        assert!(md.contains("| x | y |"));
-        assert!(md.contains("|---|---|"));
-        assert!(md.contains("| 1 | 2 |"));
     }
 
     #[test]

@@ -88,8 +88,7 @@ mod tests {
         assert!((p - 11.0 / 19.0).abs() < 1e-12, "φ_P = {p}");
         // Note: the paper states φ_D = 13/19 but its own definition yields
         // 12/19 on these lattices (D ∈ {D, ND, DP, NDP} in w1 = 4; w2: 3;
-        // w3: 2; w4: 3). We implement the definition; the discrepancy is
-        // recorded in EXPERIMENTS.md.
+        // w3: 2; w4: 3). We implement the definition.
         assert!((d - 12.0 / 19.0).abs() < 1e-12, "φ_D = {d}");
         // Untouched right side stays zero.
         assert_eq!(phi.score(AttrRef::new(Side::Right, 0)), 0.0);

@@ -6,7 +6,8 @@
 //! The paper's matchers are deep networks (LSTM, hybrid attention,
 //! DistilBERT); this workspace re-creates their *decision-surface role* with
 //! small feed-forward networks trained by the backprop/Adam implementation
-//! here (see DESIGN.md §1.1 for the substitution argument). The baseline
+//! here: the explainers only query scores, so the decision surface is what
+//! has to carry over, not the architecture. The baseline
 //! explainers additionally need weighted linear solvers: LIME fits a locally
 //! weighted ridge regression and KernelSHAP solves a weighted least-squares
 //! system — both provided by [`ridge`].

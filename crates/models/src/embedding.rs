@@ -6,9 +6,8 @@
 //! the same vector, distinct tokens map to near-orthogonal vectors (the
 //! Johnson-Lindenstrauss regime), and no embedding file is needed. Records
 //! that share many tokens therefore get nearby mean-pooled embeddings, which
-//! is the property the matcher learns from. The trade-off — no semantic
-//! neighbourhood between *different* tokens ("tv" vs "television") — is
-//! documented in DESIGN.md §1.1.
+//! is the property the matcher learns from. The trade-off is no semantic
+//! neighbourhood between *different* tokens ("tv" vs "television").
 
 use crate::memo::EmbedArtifact;
 use certa_core::hash::fx_hash_one;

@@ -7,7 +7,7 @@
 //!   (hashed word embeddings, mean-pooled per record) combined as
 //!   `[|e_u − e_v| ; e_u ⊙ e_v]` and classified by an MLP. Mirrors DeepER's
 //!   "embed the whole record, then classify" design; the LSTM is replaced by
-//!   mean pooling (DESIGN.md §1.1).
+//!   mean pooling.
 //! * [`ModelKind::DeepMatcher`] — *attribute-level* similarity summaries
 //!   (several string measures per aligned attribute, plus missing-value
 //!   indicators) fed to an MLP. Mirrors the attribute-summarization Hybrid

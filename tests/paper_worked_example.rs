@@ -119,7 +119,7 @@ fn saliency_matches_the_worked_example() {
     let phi_p = exp.saliency.score(AttrRef::new(Side::Left, 2));
     // §4: 19 total flips; φ_N = 15/19 and φ_P = 11/19 as printed. For D the
     // paper prints 13/19 but its own definition gives 12/19 on the Figure 9
-    // lattices (see EXPERIMENTS.md); we assert the definition.
+    // lattices; we assert the definition.
     assert!((phi_n - 15.0 / 19.0).abs() < 1e-12, "φ_N = {phi_n}");
     assert!((phi_d - 12.0 / 19.0).abs() < 1e-12, "φ_D = {phi_d}");
     assert!((phi_p - 11.0 / 19.0).abs() < 1e-12, "φ_P = {phi_p}");
