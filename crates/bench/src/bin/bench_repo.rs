@@ -144,7 +144,8 @@ fn main() {
             .resolve(&format!("FZ/{}", kind.paper_name()))
             .expect("resolution must succeed");
     }
-    let (hits, misses) = registry.transfer_stats();
+    let c = &registry.counters;
+    let (hits, misses) = (c.transfer_hits.get(), c.transfer_misses.get());
     let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
     let hit_rate_pass = hits == ModelKind::all().len() as u64 && misses == 0;
     if !hit_rate_pass {

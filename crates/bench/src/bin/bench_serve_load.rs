@@ -444,12 +444,12 @@ fn main() {
     }
 
     if let Some(server) = spawned {
-        let panics = server.state().metrics.worker_panics();
+        let panics = server.state().metrics.worker_panics.get();
         if panics > 0 {
             eprintln!("FAIL: server caught {panics} worker panic(s)");
             failures += 1;
         }
-        let overloads = server.state().metrics.overload_rejections();
+        let overloads = server.state().metrics.overload_rejections.get();
         if overloads > 0 {
             eprintln!("[load] note: {overloads} connection(s) shed with 503");
         }

@@ -9,8 +9,7 @@
 //! whole stage is byte-deterministic across worker counts.
 
 use certa_core::{Dataset, Matcher, Record, RecordPair};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use certa_explain::batch::run_indexed;
 
 /// One match-graph edge: a candidate pair and its matcher score.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,10 +23,11 @@ pub struct ScoredEdge {
 /// Score every candidate through [`Matcher::score_batch`] in chunks of
 /// `batch_size`, using up to `workers` threads (`0` or `1` runs inline).
 ///
-/// Chunks are claimed work-stealing style from an atomic counter and each
-/// result lands in its chunk-index slot, so the returned edges are in
-/// candidate order regardless of scheduling — with a deterministic matcher
-/// the output is byte-identical across worker counts.
+/// Chunks are claimed work-stealing style through
+/// [`certa_explain::batch::run_indexed`], which returns results in chunk
+/// order, so the returned edges are in candidate order regardless of
+/// scheduling — with a deterministic matcher the output is byte-identical
+/// across worker counts.
 pub fn score_candidates(
     dataset: &Dataset,
     matcher: &dyn Matcher,
@@ -35,10 +35,9 @@ pub fn score_candidates(
     batch_size: usize,
     workers: usize,
 ) -> Vec<ScoredEdge> {
-    let batch = batch_size.max(1);
-    let chunks: Vec<&[RecordPair]> = candidates.chunks(batch).collect();
-    let score_chunk = |chunk: &[RecordPair]| -> Vec<f64> {
-        let refs: Vec<(&Record, &Record)> = chunk
+    let chunks: Vec<&[RecordPair]> = candidates.chunks(batch_size.max(1)).collect();
+    let scored = run_indexed(chunks.len(), workers, |i| {
+        let refs: Vec<(&Record, &Record)> = chunks[i]
             .iter()
             .map(|p| {
                 (
@@ -48,37 +47,7 @@ pub fn score_candidates(
             })
             .collect();
         matcher.score_batch(&refs)
-    };
-
-    let scored: Vec<Vec<f64>> = if workers <= 1 || chunks.len() <= 1 {
-        chunks.iter().map(|c| score_chunk(c)).collect()
-    } else {
-        // Work-stealing over chunk indices: a slow chunk never stalls a
-        // statically assigned partner, and slot-indexed writes keep the
-        // assembly order equal to the input order.
-        let next = AtomicUsize::new(0);
-        let slots: Vec<OnceLock<Vec<f64>>> = (0..chunks.len()).map(|_| OnceLock::new()).collect();
-        let workers = workers.min(chunks.len());
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= chunks.len() {
-                        break;
-                    }
-                    let value = score_chunk(chunks[i]);
-                    slots[i]
-                        .set(value)
-                        .unwrap_or_else(|_| unreachable!("chunk {i} claimed once"));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every chunk scored"))
-            .collect()
-    };
-
+    });
     candidates
         .iter()
         .zip(scored.into_iter().flatten())

@@ -31,10 +31,10 @@ use std::sync::OnceLock;
 
 /// Run `f(i)` for every `i in 0..len` on a work-stealing scoped-thread pool
 /// and return the results in index order. The single shared concurrency
-/// primitive of the engine — `explain_batch` steals whole pairs through it
-/// and `explain` steals triangles. `workers <= 1` (or `len <= 1`) runs
-/// inline with no threads.
-pub(crate) fn run_indexed<T: Send + Sync>(
+/// primitive of the workspace — `explain_batch` steals whole pairs through
+/// it, `explain` steals triangles and `certa_cluster` steals candidate
+/// chunks. `workers <= 1` (or `len <= 1`) runs inline with no threads.
+pub fn run_indexed<T: Send + Sync>(
     len: usize,
     workers: usize,
     f: impl Fn(usize) -> T + Sync,

@@ -22,8 +22,8 @@
 //!            │ [`state`] "<dataset>/<model>" registry  ├─ explain ─┤
 //!            │           (datagen + models + sharded   │   batch   │
 //!            │            `CachingMatcher` + `Certa`)  │  engine   │
-//!            │ [`ops`]   atomic counters + log2        │           │
-//!            │           latency histogram             │           │
+//!            │ [`ops`]   `Counter`s, log2 latency      │           │
+//!            │           histogram, `Exposition`       │           │
 //!            └─────────────────────────────────────────┴───────────┘
 //! ```
 //!
@@ -41,9 +41,11 @@
 //!   sharded [`CachingMatcher`](certa_models::CachingMatcher), and pairs it
 //!   with a [`Certa`](certa_explain::Certa) explainer configured from the
 //!   server's `(seed, τ)`.
-//! * [`ops`] — lock-free request/latency accounting behind `GET /healthz`
-//!   and `GET /metrics` (Prometheus text exposition, including per-model
-//!   cache hit/miss counters).
+//! * [`ops`] — the one typed metrics path behind `GET /metrics`: lock-free
+//!   [`Counter`]s and a log2 [`LatencyHistogram`], rendered by one
+//!   [`Exposition`] that owns the Prometheus text format. [`ServerMetrics`]
+//!   and the [`Registry`] (per-model cache and memo, store, transfer, block
+//!   and cluster accounting) each append their families through it.
 //! * [`reactor`] — the zero-dependency epoll shim (raw `libc` syscalls,
 //!   no crates) plus deterministic per-tenant token buckets.
 //! * [`http`] / [`router`] / [`server`] — HTTP/1.1 with keep-alive,
@@ -81,7 +83,7 @@ pub mod state;
 pub mod wire;
 
 pub use http::{HttpError, Request, Response};
-pub use ops::{LatencyHistogram, Route, ServerMetrics};
+pub use ops::{Counter, Exposition, Kind, LatencyHistogram, Route, ServerMetrics};
 pub use server::{AppState, Server, ServerHandle};
-pub use state::{ModelEntry, Registry, ServeConfig, StoreStats, TransferMode};
+pub use state::{ModelEntry, Registry, RegistryCounters, ServeConfig, TransferMode};
 pub use wire::{Json, WireError};

@@ -1,13 +1,38 @@
-//! Operational counters: lock-free request/response accounting and a
-//! log2-bucketed latency histogram, rendered through `GET /healthz` and
-//! `GET /metrics`.
+//! Operational counters and their one renderer: lock-free [`Counter`]s, a
+//! log2-bucketed [`LatencyHistogram`], and the [`Exposition`] that turns
+//! them into the Prometheus text of `GET /metrics`.
 //!
-//! Everything here is atomics — the hot path (one `record` per response)
+//! Everything here is atomics — the hot path (one `observe` per response)
 //! never takes a lock, so ops accounting cannot become the serving
-//! bottleneck it is meant to observe.
+//! bottleneck it is meant to observe. The text format lives only in
+//! [`Exposition`] and its [`Sample`] values: the `# TYPE` line, the label
+//! syntax and float-to-text conversion each have exactly one
+//! implementation.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+
+/// A monotonically increasing count behind one relaxed atomic.
+#[derive(Debug, Default)]
+pub struct Counter(AtomicU64);
+
+impl Counter {
+    /// Add one.
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// Add `n`.
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The current count.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
 
 /// Number of histogram buckets. Bucket `i` counts latencies in
 /// `[2^(i-1), 2^i)` microseconds (bucket 0 is `< 1µs`); bucket 39 tops out
@@ -23,17 +48,17 @@ pub const BUCKETS: usize = 40;
 /// samples; the server-side histogram is bounded-memory by design.
 #[derive(Debug)]
 pub struct LatencyHistogram {
-    buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    sum_micros: AtomicU64,
+    buckets: [Counter; BUCKETS],
+    count: Counter,
+    sum_micros: Counter,
 }
 
 impl Default for LatencyHistogram {
     fn default() -> Self {
         LatencyHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum_micros: AtomicU64::new(0),
+            buckets: std::array::from_fn(|_| Counter::default()),
+            count: Counter::default(),
+            sum_micros: Counter::default(),
         }
     }
 }
@@ -54,24 +79,14 @@ impl LatencyHistogram {
     pub fn record(&self, d: Duration) {
         let micros = d.as_micros().min(u64::MAX as u128) as u64;
         // certa-lint: allow(no-panic-path) — bucket_of clamps to BUCKETS - 1, so the index is in range by construction
-        self.buckets[Self::bucket_of(d)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_micros.fetch_add(micros, Ordering::Relaxed);
+        self.buckets[Self::bucket_of(d)].inc();
+        self.count.inc();
+        self.sum_micros.add(micros);
     }
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Mean latency in microseconds (0 when empty).
-    pub fn mean_micros(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum_micros.load(Ordering::Relaxed) as f64 / n as f64
-        }
+        self.count.get()
     }
 
     /// Upper bound (µs) of the bucket holding the `q`-quantile observation
@@ -84,7 +99,7 @@ impl LatencyHistogram {
         let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
         for (i, bucket) in self.buckets.iter().enumerate() {
-            seen += bucket.load(Ordering::Relaxed);
+            seen += bucket.get();
             if seen >= rank {
                 return Self::upper_bound_micros(i);
             }
@@ -92,22 +107,10 @@ impl LatencyHistogram {
         Self::upper_bound_micros(BUCKETS - 1)
     }
 
-    /// Snapshot of the non-empty buckets as `(upper_bound_micros, count)`.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let n = b.load(Ordering::Relaxed);
-                (n > 0).then_some((Self::upper_bound_micros(i), n))
-            })
-            .collect()
-    }
-
     /// Total of all recorded latencies, in microseconds (the Prometheus
     /// histogram `_sum` series).
     pub fn sum_micros(&self) -> u64 {
-        self.sum_micros.load(Ordering::Relaxed)
+        self.sum_micros.get()
     }
 
     /// Prometheus-style **cumulative** bucket snapshot: for each non-empty
@@ -116,13 +119,143 @@ impl LatencyHistogram {
         let mut out = Vec::new();
         let mut seen = 0u64;
         for (i, b) in self.buckets.iter().enumerate() {
-            let n = b.load(Ordering::Relaxed);
+            let n = b.get();
             if n > 0 {
                 seen += n;
                 out.push((Self::upper_bound_micros(i), seen));
             }
         }
         out
+    }
+}
+
+/// The Prometheus type of an unlabeled series or a one-label family.
+#[derive(Debug, Clone, Copy)]
+pub enum Kind {
+    /// Only ever goes up (`…_total`).
+    Counter,
+    /// Can go up and down.
+    Gauge,
+}
+
+impl Kind {
+    fn as_str(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+        }
+    }
+}
+
+/// One sample's value: an exact count or a float reading.
+#[derive(Debug, Clone, Copy)]
+pub enum Sample {
+    /// An integer count or size, rendered exactly.
+    Int(u64),
+    /// A float reading (seconds, similarity, F1).
+    Float(f64),
+}
+
+impl From<u64> for Sample {
+    fn from(n: u64) -> Self {
+        Sample::Int(n)
+    }
+}
+
+impl From<usize> for Sample {
+    fn from(n: usize) -> Self {
+        Sample::Int(n as u64)
+    }
+}
+
+impl From<f64> for Sample {
+    fn from(x: f64) -> Self {
+        Sample::Float(x)
+    }
+}
+
+impl From<&Counter> for Sample {
+    fn from(c: &Counter) -> Self {
+        Sample::Int(c.get())
+    }
+}
+
+impl std::fmt::Display for Sample {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Sample::Int(n) => write!(f, "{n}"),
+            // The exposition's one float-to-text conversion: monitoring
+            // values are not byte-compared wire output, and f64 `Display`
+            // is shortest-round-trip without exponent notation.
+            Sample::Float(x) => write!(f, "{x}"),
+        }
+    }
+}
+
+/// The Prometheus text exposition, built one family at a time. Each call
+/// appends a `# TYPE` line followed by that family's samples, so families
+/// render in call order.
+#[derive(Debug, Default)]
+pub struct Exposition {
+    text: String,
+}
+
+impl Exposition {
+    /// One unlabeled counter or gauge.
+    pub fn scalar(&mut self, kind: Kind, name: &str, value: impl Into<Sample>) {
+        self.type_line(name, kind.as_str());
+        self.sample(name, None, value.into());
+    }
+
+    /// A counter or gauge family with one label, one sample per
+    /// `(label value, sample)` pair in iteration order. An empty family
+    /// renders nothing, not even its `# TYPE` line.
+    pub fn family<L: AsRef<str>, V: Into<Sample>>(
+        &mut self,
+        kind: Kind,
+        name: &str,
+        label: &str,
+        series: impl IntoIterator<Item = (L, V)>,
+    ) {
+        let mut series = series.into_iter().peekable();
+        if series.peek().is_none() {
+            return;
+        }
+        self.type_line(name, kind.as_str());
+        for (value, sample) in series {
+            self.sample(name, Some((label, value.as_ref())), sample.into());
+        }
+    }
+
+    /// A log2 latency histogram: cumulative `_bucket` samples for the
+    /// non-empty buckets ending in `le="+Inf"`, then `_sum` and `_count`
+    /// (so `histogram_quantile` and average-latency queries work on a real
+    /// Prometheus server).
+    pub fn histogram(&mut self, name: &str, h: &LatencyHistogram) {
+        self.type_line(name, "histogram");
+        let bucket = format!("{name}_bucket");
+        for (le, cumulative) in h.cumulative_buckets() {
+            self.sample(&bucket, Some(("le", &le.to_string())), cumulative.into());
+        }
+        self.sample(&bucket, Some(("le", "+Inf")), h.count().into());
+        self.sample(&format!("{name}_sum"), None, h.sum_micros().into());
+        self.sample(&format!("{name}_count"), None, h.count().into());
+    }
+
+    /// The finished exposition text.
+    pub fn into_text(self) -> String {
+        self.text
+    }
+
+    fn type_line(&mut self, name: &str, kind: &str) {
+        let _ = writeln!(self.text, "# TYPE {name} {kind}");
+    }
+
+    fn sample(&mut self, name: &str, label: Option<(&str, &str)>, value: Sample) {
+        let _ = match label {
+            Some((key, v)) => writeln!(self.text, "{name}{{{key}=\"{v}\"}} {value}"),
+            None => writeln!(self.text, "{name} {value}"),
+        };
     }
 }
 
@@ -156,6 +289,7 @@ pub enum Route {
 }
 
 impl Route {
+    /// Every route in declaration order, so `route as usize` indexes it.
     const ALL: [Route; 12] = [
         Route::Score,
         Route::ScoreBatch,
@@ -170,25 +304,6 @@ impl Route {
         Route::Metrics,
         Route::Other,
     ];
-
-    /// Position in [`Route::ALL`]; the `route_index_matches_all` test pins
-    /// the correspondence.
-    fn index(self) -> usize {
-        match self {
-            Route::Score => 0,
-            Route::ScoreBatch => 1,
-            Route::Explain => 2,
-            Route::ExplainBatch => 3,
-            Route::Block => 4,
-            Route::Cluster => 5,
-            Route::Entity => 6,
-            Route::Models => 7,
-            Route::Reload => 8,
-            Route::Healthz => 9,
-            Route::Metrics => 10,
-            Route::Other => 11,
-        }
-    }
 
     /// Metric label for this route.
     pub fn label(self) -> &'static str {
@@ -209,128 +324,52 @@ impl Route {
     }
 }
 
-/// All serving-layer counters, shared across workers via `Arc<AppState>`.
+/// Process start time, the zero of `certa_serve_uptime_seconds`.
 #[derive(Debug)]
-pub struct ServerMetrics {
-    started: Instant,
-    connections_accepted: AtomicU64,
-    overload_rejections: AtomicU64,
-    worker_panics: AtomicU64,
-    conn_timeouts: AtomicU64,
-    conn_resets: AtomicU64,
-    conn_pipeline_overflows: AtomicU64,
-    rate_limited: AtomicU64,
-    streamed_responses: AtomicU64,
-    requests_by_route: [AtomicU64; 12],
-    responses_2xx: AtomicU64,
-    responses_4xx: AtomicU64,
-    responses_5xx: AtomicU64,
-    /// Latency of successfully routed API requests (2xx responses).
-    pub latency: LatencyHistogram,
+struct Started(Instant);
+
+impl Default for Started {
+    fn default() -> Self {
+        Started(Instant::now())
+    }
 }
 
-impl Default for ServerMetrics {
-    fn default() -> Self {
-        ServerMetrics {
-            started: Instant::now(),
-            connections_accepted: AtomicU64::new(0),
-            overload_rejections: AtomicU64::new(0),
-            worker_panics: AtomicU64::new(0),
-            conn_timeouts: AtomicU64::new(0),
-            conn_resets: AtomicU64::new(0),
-            conn_pipeline_overflows: AtomicU64::new(0),
-            rate_limited: AtomicU64::new(0),
-            streamed_responses: AtomicU64::new(0),
-            requests_by_route: Default::default(),
-            responses_2xx: AtomicU64::new(0),
-            responses_4xx: AtomicU64::new(0),
-            responses_5xx: AtomicU64::new(0),
-            latency: LatencyHistogram::default(),
-        }
-    }
+/// All serving-layer counters, shared across workers via `Arc<AppState>`.
+#[derive(Debug, Default)]
+pub struct ServerMetrics {
+    started: Started,
+    /// Connections accepted.
+    pub connections_accepted: Counter,
+    /// Connections or requests turned away with `503` because a queue was
+    /// full.
+    pub overload_rejections: Counter,
+    /// Panics a worker caught while handling a request (0 in a healthy
+    /// server).
+    pub worker_panics: Counter,
+    /// Keep-alive connections reaped after idling past the read timeout.
+    pub conn_timeouts: Counter,
+    /// Connections torn down by a transport error (reset, broken pipe,
+    /// write failure) rather than an orderly close.
+    pub conn_resets: Counter,
+    /// Times a connection hit the per-connection pipelining cap and had its
+    /// socket reads paused until responses drained (TCP backpressure).
+    pub conn_pipeline_overflows: Counter,
+    /// Requests refused with `429` by per-tenant admission control.
+    pub rate_limited: Counter,
+    /// Responses streamed with chunked transfer-encoding.
+    pub streamed_responses: Counter,
+    requests_by_route: [Counter; 12],
+    responses_2xx: Counter,
+    responses_4xx: Counter,
+    responses_5xx: Counter,
+    /// Latency of successfully routed API requests (2xx responses).
+    pub latency: LatencyHistogram,
 }
 
 impl ServerMetrics {
     /// Uptime since construction.
     pub fn uptime(&self) -> Duration {
-        self.started.elapsed()
-    }
-
-    /// One accepted connection.
-    pub fn connection_accepted(&self) {
-        self.connections_accepted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One connection turned away with `503` because the queue was full.
-    pub fn overload_rejected(&self) {
-        self.overload_rejections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total `503` overload rejections so far.
-    pub fn overload_rejections(&self) -> u64 {
-        self.overload_rejections.load(Ordering::Relaxed)
-    }
-
-    /// A worker caught a panic while handling a connection.
-    pub fn worker_panicked(&self) {
-        self.worker_panics.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total worker panics caught (0 in a healthy server).
-    pub fn worker_panics(&self) -> u64 {
-        self.worker_panics.load(Ordering::Relaxed)
-    }
-
-    /// One keep-alive connection reaped after idling past the read timeout.
-    pub fn conn_timed_out(&self) {
-        self.conn_timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total idle-timeout reaps.
-    pub fn conn_timeouts(&self) -> u64 {
-        self.conn_timeouts.load(Ordering::Relaxed)
-    }
-
-    /// One connection torn down by a transport error (reset, broken pipe,
-    /// write failure) rather than an orderly close.
-    pub fn conn_reset(&self) {
-        self.conn_resets.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total transport-error teardowns.
-    pub fn conn_resets(&self) -> u64 {
-        self.conn_resets.load(Ordering::Relaxed)
-    }
-
-    /// One connection hit the per-connection pipelining cap and had its
-    /// socket reads paused until responses drained (TCP backpressure).
-    pub fn conn_pipeline_overflowed(&self) {
-        self.conn_pipeline_overflows.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total pipelining-cap backpressure events.
-    pub fn conn_pipeline_overflows(&self) -> u64 {
-        self.conn_pipeline_overflows.load(Ordering::Relaxed)
-    }
-
-    /// One request refused with `429` by per-tenant admission control.
-    pub fn rate_limited_rejected(&self) {
-        self.rate_limited.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total `429` rate-limit rejections.
-    pub fn rate_limited(&self) -> u64 {
-        self.rate_limited.load(Ordering::Relaxed)
-    }
-
-    /// One response streamed with chunked transfer-encoding.
-    pub fn response_streamed(&self) {
-        self.streamed_responses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total chunked-streamed responses.
-    pub fn streamed_responses(&self) -> u64 {
-        self.streamed_responses.load(Ordering::Relaxed)
+        self.started.0.elapsed()
     }
 
     /// Account one routed request and its response status; `latency` is
@@ -339,18 +378,14 @@ impl ServerMetrics {
     /// ever emit one) counts as success rather than inflating the 5xx
     /// error-rate counter.
     pub fn observe(&self, route: Route, status: u16, latency: Duration) {
-        if let Some(counter) = self.requests_by_route.get(route.index()) {
-            counter.fetch_add(1, Ordering::Relaxed);
+        if let Some(counter) = self.requests_by_route.get(route as usize) {
+            counter.inc();
         }
         match status / 100 {
-            4 => {
-                self.responses_4xx.fetch_add(1, Ordering::Relaxed);
-            }
-            5 => {
-                self.responses_5xx.fetch_add(1, Ordering::Relaxed);
-            }
+            4 => self.responses_4xx.inc(),
+            5 => self.responses_5xx.inc(),
             _ => {
-                self.responses_2xx.fetch_add(1, Ordering::Relaxed);
+                self.responses_2xx.inc();
                 if !matches!(route, Route::Healthz | Route::Metrics) {
                     self.latency.record(latency);
                 }
@@ -358,116 +393,70 @@ impl ServerMetrics {
         }
     }
 
-    /// Total requests observed across routes.
-    pub fn requests_total(&self) -> u64 {
-        self.requests_by_route
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Responses in the given status class (2, 4, or 5).
-    pub fn responses_in_class(&self, class: u16) -> u64 {
-        match class {
-            2 => self.responses_2xx.load(Ordering::Relaxed),
-            4 => self.responses_4xx.load(Ordering::Relaxed),
-            _ => self.responses_5xx.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Render the Prometheus-style text exposition, with per-model cache
-    /// lines appended by the caller (the registry owns those).
-    pub fn render_prometheus(&self, extra_lines: &str) -> String {
-        let mut out = String::with_capacity(2048);
-        let p = "certa_serve";
-        // certa-lint: allow(no-float-format) — monitoring gauge, not byte-compared wire output; f64 Display is shortest-round-trip
-        out.push_str(&format!(
-            "# TYPE {p}_uptime_seconds gauge\n{p}_uptime_seconds {}\n",
-            self.uptime().as_secs_f64()
-        ));
-        out.push_str(&format!(
-            "# TYPE {p}_connections_accepted_total counter\n{p}_connections_accepted_total {}\n",
-            self.connections_accepted.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "# TYPE {p}_overload_rejections_total counter\n{p}_overload_rejections_total {}\n",
-            self.overload_rejections()
-        ));
-        out.push_str(&format!(
-            "# TYPE {p}_worker_panics_total counter\n{p}_worker_panics_total {}\n",
-            self.worker_panics()
-        ));
-        // Connection-lifecycle accounting — every abnormal teardown is a
-        // counter, so dropped-connection debugging starts at /metrics.
-        out.push_str(&format!(
-            "# TYPE {p}_conn_timeouts_total counter\n{p}_conn_timeouts_total {}\n",
-            self.conn_timeouts()
-        ));
-        out.push_str(&format!(
-            "# TYPE {p}_conn_resets_total counter\n{p}_conn_resets_total {}\n",
-            self.conn_resets()
-        ));
-        out.push_str(&format!(
-            "# TYPE {p}_conn_pipeline_overflows_total counter\n{p}_conn_pipeline_overflows_total {}\n",
-            self.conn_pipeline_overflows()
-        ));
-        out.push_str(&format!(
-            "# TYPE {p}_rate_limited_total counter\n{p}_rate_limited_total {}\n",
-            self.rate_limited()
-        ));
-        out.push_str(&format!(
-            "# TYPE {p}_streamed_responses_total counter\n{p}_streamed_responses_total {}\n",
-            self.streamed_responses()
-        ));
-        out.push_str(&format!("# TYPE {p}_requests_total counter\n"));
-        for route in Route::ALL {
-            let n = self
-                .requests_by_route
-                .get(route.index())
-                .map_or(0, |c| c.load(Ordering::Relaxed));
-            out.push_str(&format!(
-                "{p}_requests_total{{route=\"{}\"}} {}\n",
-                route.label(),
-                n
-            ));
-        }
-        out.push_str(&format!("# TYPE {p}_responses_total counter\n"));
-        for (class, n) in [
-            ("2xx", self.responses_2xx.load(Ordering::Relaxed)),
-            ("4xx", self.responses_4xx.load(Ordering::Relaxed)),
-            ("5xx", self.responses_5xx.load(Ordering::Relaxed)),
+    /// Append the serving-layer families: uptime, connection lifecycle,
+    /// requests by route, responses by status class and request latency.
+    pub fn render(&self, out: &mut Exposition) {
+        out.scalar(
+            Kind::Gauge,
+            "certa_serve_uptime_seconds",
+            self.uptime().as_secs_f64(),
+        );
+        // Connection lifecycle: every abnormal teardown is counted, so
+        // dropped-connection debugging starts at /metrics.
+        for (name, counter) in [
+            (
+                "certa_serve_connections_accepted_total",
+                &self.connections_accepted,
+            ),
+            (
+                "certa_serve_overload_rejections_total",
+                &self.overload_rejections,
+            ),
+            ("certa_serve_worker_panics_total", &self.worker_panics),
+            ("certa_serve_conn_timeouts_total", &self.conn_timeouts),
+            ("certa_serve_conn_resets_total", &self.conn_resets),
+            (
+                "certa_serve_conn_pipeline_overflows_total",
+                &self.conn_pipeline_overflows,
+            ),
+            ("certa_serve_rate_limited_total", &self.rate_limited),
+            (
+                "certa_serve_streamed_responses_total",
+                &self.streamed_responses,
+            ),
         ] {
-            out.push_str(&format!("{p}_responses_total{{class=\"{class}\"}} {n}\n"));
+            out.scalar(Kind::Counter, name, counter);
         }
-        // Conformant Prometheus histogram: cumulative buckets ending in
-        // `+Inf`, plus `_sum` and `_count` (so `histogram_quantile` and
-        // avg-latency queries work on a real Prometheus server).
-        out.push_str(&format!("# TYPE {p}_request_latency_micros histogram\n"));
-        for (le, cumulative) in self.latency.cumulative_buckets() {
-            out.push_str(&format!(
-                "{p}_request_latency_micros_bucket{{le=\"{le}\"}} {cumulative}\n"
-            ));
-        }
-        out.push_str(&format!(
-            "{p}_request_latency_micros_bucket{{le=\"+Inf\"}} {}\n{p}_request_latency_micros_sum {}\n{p}_request_latency_micros_count {}\n",
-            self.latency.count(),
-            self.latency.sum_micros(),
-            self.latency.count(),
-        ));
+        out.family(
+            Kind::Counter,
+            "certa_serve_requests_total",
+            "route",
+            Route::ALL
+                .iter()
+                .zip(&self.requests_by_route)
+                .map(|(route, n)| (route.label(), n)),
+        );
+        out.family(
+            Kind::Counter,
+            "certa_serve_responses_total",
+            "class",
+            [
+                ("2xx", &self.responses_2xx),
+                ("4xx", &self.responses_4xx),
+                ("5xx", &self.responses_5xx),
+            ],
+        );
+        out.histogram("certa_serve_request_latency_micros", &self.latency);
         // Server-side quantile estimates (bucket upper bounds, ≤2× high) as
         // a separate gauge — quantile labels belong to summaries, not
         // histograms, so they get their own series name.
-        out.push_str(&format!(
-            "# TYPE {p}_request_latency_quantile_micros gauge\n"
-        ));
-        for (q, label) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
-            out.push_str(&format!(
-                "{p}_request_latency_quantile_micros{{quantile=\"{label}\"}} {}\n",
-                self.latency.quantile_micros(q)
-            ));
-        }
-        out.push_str(extra_lines);
-        out
+        out.family(
+            Kind::Gauge,
+            "certa_serve_request_latency_quantile_micros",
+            "quantile",
+            [("0.5", 0.5), ("0.95", 0.95), ("0.99", 0.99)]
+                .map(|(label, q)| (label, self.latency.quantile_micros(q))),
+        );
     }
 }
 
@@ -475,10 +464,16 @@ impl ServerMetrics {
 mod tests {
     use super::*;
 
+    fn exposition(m: &ServerMetrics) -> String {
+        let mut out = Exposition::default();
+        m.render(&mut out);
+        out.into_text()
+    }
+
     #[test]
     fn route_index_matches_all() {
         for (i, route) in Route::ALL.into_iter().enumerate() {
-            assert_eq!(route.index(), i, "{:?} out of place in Route::ALL", route);
+            assert_eq!(route as usize, i, "{:?} out of place in Route::ALL", route);
         }
     }
 
@@ -491,14 +486,12 @@ mod tests {
         h.record(Duration::from_micros(3)); // bucket 2 (le=4)
         h.record(Duration::from_micros(1000)); // le=1024
         assert_eq!(h.count(), 4);
-        assert_eq!(h.mean_micros(), 251.0);
         assert_eq!(h.sum_micros(), 1004);
         assert_eq!(
             h.cumulative_buckets(),
             vec![(1, 1), (2, 2), (4, 3), (1024, 4)],
             "Prometheus buckets are cumulative"
         );
-        assert_eq!(h.nonzero_buckets(), vec![(1, 1), (2, 1), (4, 1), (1024, 1)]);
         assert_eq!(h.quantile_micros(0.0), 1);
         assert_eq!(h.quantile_micros(0.5), 2);
         assert_eq!(h.quantile_micros(1.0), 1024);
@@ -525,58 +518,78 @@ mod tests {
         // … and a value that would overflow u64 microseconds saturates.
         h.record(Duration::from_secs(u64::MAX / 1000));
         assert_eq!(h.count(), 2);
-        assert_eq!(h.nonzero_buckets(), vec![(1u64 << (BUCKETS - 1), 2)]);
+        assert_eq!(h.cumulative_buckets(), vec![(1u64 << (BUCKETS - 1), 2)]);
         assert_eq!(h.quantile_micros(1.0), 1u64 << (BUCKETS - 1));
+    }
+
+    #[test]
+    fn exposition_renders_types_labels_and_values() {
+        let mut out = Exposition::default();
+        out.scalar(Kind::Counter, "a_total", 3u64);
+        out.scalar(Kind::Gauge, "b_seconds", 0.25);
+        out.family(Kind::Gauge, "c", "model", [("x/y", 1.0), ("z", 0.5)]);
+        out.family(
+            Kind::Counter,
+            "empty_total",
+            "model",
+            Vec::<(&str, u64)>::new(),
+        );
+        let h = LatencyHistogram::default();
+        h.record(Duration::from_micros(3));
+        out.histogram("d_micros", &h);
+        assert_eq!(
+            out.into_text(),
+            "# TYPE a_total counter\na_total 3\n\
+             # TYPE b_seconds gauge\nb_seconds 0.25\n\
+             # TYPE c gauge\nc{model=\"x/y\"} 1\nc{model=\"z\"} 0.5\n\
+             # TYPE d_micros histogram\n\
+             d_micros_bucket{le=\"4\"} 1\nd_micros_bucket{le=\"+Inf\"} 1\n\
+             d_micros_sum 3\nd_micros_count 1\n",
+            "an empty family renders no lines at all"
+        );
     }
 
     #[test]
     fn metrics_account_routes_and_classes() {
         let m = ServerMetrics::default();
-        m.connection_accepted();
+        m.connections_accepted.inc();
         m.observe(Route::Explain, 200, Duration::from_micros(500));
         m.observe(Route::Score, 200, Duration::from_micros(100));
         m.observe(Route::Healthz, 200, Duration::from_micros(5));
         m.observe(Route::Other, 404, Duration::from_micros(5));
         m.observe(Route::Explain, 500, Duration::from_micros(5));
-        m.overload_rejected();
-        assert_eq!(m.requests_total(), 5);
-        assert_eq!(m.responses_in_class(2), 3);
-        assert_eq!(m.responses_in_class(4), 1);
-        assert_eq!(m.responses_in_class(5), 1);
-        assert_eq!(m.overload_rejections(), 1);
+        m.overload_rejections.inc();
+        let routed: u64 = m.requests_by_route.iter().map(Counter::get).sum();
+        assert_eq!(routed, 5);
+        let classes = [&m.responses_2xx, &m.responses_4xx, &m.responses_5xx].map(Counter::get);
+        assert_eq!(classes, [3, 1, 1]);
         assert_eq!(
             m.latency.count(),
             2,
             "healthz and errors stay out of the API latency histogram"
         );
-        let text = m.render_prometheus("certa_serve_cache_hits_total{model=\"x\"} 3\n");
+        let text = exposition(&m);
         assert!(text.contains("certa_serve_requests_total{route=\"explain\"} 2"));
         assert!(text.contains("certa_serve_responses_total{class=\"5xx\"} 1"));
         assert!(text.contains("certa_serve_overload_rejections_total 1"));
+        assert!(text.contains("certa_serve_connections_accepted_total 1"));
         // Conformant histogram: cumulative buckets end in +Inf and _sum /
         // _count are present; quantiles live on their own gauge series.
         assert!(text.contains("certa_serve_request_latency_micros_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("certa_serve_request_latency_micros_sum 600"));
         assert!(text.contains("certa_serve_request_latency_micros_count 2"));
-        assert!(text.contains("certa_serve_request_latency_quantile_micros{quantile=\"0.99\"}"));
-        assert!(text.ends_with("certa_serve_cache_hits_total{model=\"x\"} 3\n"));
+        assert!(text.contains("certa_serve_request_latency_quantile_micros{quantile=\"0.99\"} 512"));
     }
 
     #[test]
     fn connection_lifecycle_counters_render() {
         let m = ServerMetrics::default();
-        m.conn_timed_out();
-        m.conn_timed_out();
-        m.conn_reset();
-        m.conn_pipeline_overflowed();
-        m.rate_limited_rejected();
-        m.response_streamed();
-        assert_eq!(m.conn_timeouts(), 2);
-        assert_eq!(m.conn_resets(), 1);
-        assert_eq!(m.conn_pipeline_overflows(), 1);
-        assert_eq!(m.rate_limited(), 1);
-        assert_eq!(m.streamed_responses(), 1);
-        let text = m.render_prometheus("");
+        m.conn_timeouts.add(2);
+        m.conn_resets.inc();
+        m.conn_pipeline_overflows.inc();
+        m.rate_limited.inc();
+        m.streamed_responses.inc();
+        let text = exposition(&m);
         assert!(text.contains("certa_serve_conn_timeouts_total 2"));
         assert!(text.contains("certa_serve_conn_resets_total 1"));
         assert!(text.contains("certa_serve_conn_pipeline_overflows_total 1"));
@@ -588,7 +601,7 @@ mod tests {
     fn observe_counts_only_4xx_and_5xx_as_errors() {
         let m = ServerMetrics::default();
         m.observe(Route::Metrics, 304, Duration::from_micros(5));
-        assert_eq!(m.responses_in_class(2), 1, "3xx is not an error class");
-        assert_eq!(m.responses_in_class(5), 0);
+        assert_eq!(m.responses_2xx.get(), 1, "3xx is not an error class");
+        assert_eq!(m.responses_5xx.get(), 0);
     }
 }

@@ -20,7 +20,7 @@
 //! [`handle`] entry point renders either side.
 
 use crate::http::{HttpError, Request, Response};
-use crate::ops::{Route, ServerMetrics};
+use crate::ops::{Exposition, Route, ServerMetrics};
 use crate::state::{ModelEntry, Registry};
 use crate::wire::{dto, Json, PairDto};
 use certa_core::{Matcher, Prediction, Record, Side};
@@ -53,13 +53,7 @@ fn dispatch(
         ("GET", "/v1/models") => (Route::Models, models(registry)),
         ("POST", "/v1/reload") => (Route::Reload, reload(registry)),
         ("GET", "/healthz") => (Route::Healthz, healthz(registry)),
-        ("GET", "/metrics") => (
-            Route::Metrics,
-            Ok(Response::text(
-                200,
-                metrics.render_prometheus(&registry.cache_metric_lines()),
-            )),
-        ),
+        ("GET", "/metrics") => (Route::Metrics, Ok(exposition(registry, metrics))),
         (
             _,
             "/v1/score" | "/v1/score_batch" | "/v1/explain" | "/v1/explain_batch" | "/v1/block"
@@ -326,7 +320,9 @@ fn block(registry: &Registry, req: &Request) -> Result<Response, HttpError> {
     let blocker = params.build()?;
     let entry = registry.resolve(&model)?;
     let candidates = blocker.candidates(entry.dataset.left(), entry.dataset.right());
-    registry.record_block(candidates.len());
+    let counters = &registry.counters;
+    counters.block_runs.inc();
+    counters.block_candidates.add(candidates.len() as u64);
     let certa = (params.explain_top > 0).then_some(&entry.certa);
     let report = certa_block::run_pipeline_cached(
         candidates,
@@ -724,6 +720,14 @@ fn reload(registry: &Registry) -> Result<Response, HttpError> {
         ("models", Json::Arr(names.iter().map(Json::str).collect())),
     ]);
     ok_json(&payload)
+}
+
+/// `GET /metrics`: the serving-layer families, then the registry's.
+fn exposition(registry: &Registry, metrics: &ServerMetrics) -> Response {
+    let mut out = Exposition::default();
+    metrics.render(&mut out);
+    registry.render(&mut out);
+    Response::text(200, out.into_text())
 }
 
 fn healthz(registry: &Registry) -> Result<Response, HttpError> {

@@ -435,12 +435,12 @@ impl EventLoop {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return,
             };
-            self.state.metrics.connection_accepted();
+            self.state.metrics.connections_accepted.inc();
             if self.live >= self.state.config().queue_depth {
                 // Shed load at the door with a structured 503. The
                 // accepted socket is blocking (accept does not inherit
                 // nonblocking), so bound the courtesy write.
-                self.state.metrics.overload_rejected();
+                self.state.metrics.overload_rejections.inc();
                 let err = HttpError::closing(
                     503,
                     "overloaded",
@@ -455,7 +455,7 @@ impl EventLoop {
                 continue;
             }
             if stream.set_nonblocking(true).is_err() {
-                self.state.metrics.conn_reset();
+                self.state.metrics.conn_resets.inc();
                 continue;
             }
             let _ = stream.set_nodelay(true);
@@ -474,7 +474,7 @@ impl EventLoop {
                 .add(conn.stream.as_raw_fd(), token, Interest::READ)
                 .is_err()
             {
-                self.state.metrics.conn_reset();
+                self.state.metrics.conn_resets.inc();
                 self.free.push(slot);
                 continue;
             }
@@ -584,7 +584,7 @@ impl EventLoop {
                 conn.paused = true;
                 if !conn.overflowed {
                     conn.overflowed = true;
-                    self.state.metrics.conn_pipeline_overflowed();
+                    self.state.metrics.conn_pipeline_overflows.inc();
                 }
                 return;
             }
@@ -639,7 +639,7 @@ impl EventLoop {
         if self.buckets.enabled() && req.path.starts_with("/v1/") {
             let tenant = req.header("x-tenant").unwrap_or("default");
             if !self.buckets.try_admit(tenant, now_ms) {
-                self.state.metrics.rate_limited_rejected();
+                self.state.metrics.rate_limited.inc();
                 let err = HttpError {
                     status: 429,
                     code: "rate_limited",
@@ -667,7 +667,7 @@ impl EventLoop {
             Ok(()) => conn.pending.push_back(Pending::Waiting(seq)),
             Err(_job) => {
                 // Job queue full: same structured 503 as the door.
-                self.state.metrics.overload_rejected();
+                self.state.metrics.overload_rejections.inc();
                 let err = HttpError::closing(
                     503,
                     "overloaded",
@@ -812,8 +812,8 @@ impl EventLoop {
             Some(fate) => {
                 match fate {
                     Fate::Orderly => {}
-                    Fate::Reset => self.state.metrics.conn_reset(),
-                    Fate::TimedOut => self.state.metrics.conn_timed_out(),
+                    Fate::Reset => self.state.metrics.conn_resets.inc(),
+                    Fate::TimedOut => self.state.metrics.conn_timeouts.inc(),
                 }
                 // Closing the fd would deregister implicitly; explicit
                 // delete keeps teardown order obvious (failure = already
@@ -891,7 +891,7 @@ fn event_worker_loop(shared: &EventShared, state: &AppState) {
         let (route, resp) = match result {
             Ok(pair) => pair,
             Err(_) => {
-                state.metrics.worker_panicked();
+                state.metrics.worker_panics.inc();
                 (
                     Route::Other,
                     HttpError::closing(500, "internal_error", "handler panicked").to_response(),
@@ -907,7 +907,7 @@ fn event_worker_loop(shared: &EventShared, state: &AppState) {
             && cfg.stream_chunk_bytes > 0
             && resp.body.len() > cfg.stream_chunk_bytes
         {
-            state.metrics.response_streamed();
+            state.metrics.streamed_responses.inc();
             Some(cfg.stream_chunk_bytes)
         } else {
             None
@@ -1033,7 +1033,7 @@ mod tests {
         s.read_to_string(&mut buf).unwrap();
         assert!(buf.starts_with("HTTP/1.1 503 "), "{buf}");
         assert!(buf.contains("\"code\":\"overloaded\""), "{buf}");
-        assert!(server.state().metrics.overload_rejections() >= 1);
+        assert!(server.state().metrics.overload_rejections.get() >= 1);
         drop(pin);
         server.shutdown();
     }
@@ -1116,7 +1116,7 @@ mod tests {
         let mut buf = Vec::new();
         let n = s.read_to_end(&mut buf).unwrap();
         assert_eq!(n, 0, "idle connection should be closed with no bytes");
-        assert!(server.state().metrics.conn_timeouts() >= 1);
+        assert!(server.state().metrics.conn_timeouts.get() >= 1);
         server.shutdown();
     }
 
@@ -1160,7 +1160,7 @@ mod tests {
         // Non-/v1/ routes are never rate limited.
         let (status, _) = get(addr, "/healthz");
         assert_eq!(status, 200);
-        assert!(server.state().metrics.rate_limited() >= 1);
+        assert!(server.state().metrics.rate_limited.get() >= 1);
         server.shutdown();
     }
 
@@ -1203,7 +1203,7 @@ mod tests {
         }
         let body = String::from_utf8(body).unwrap();
         assert!(body.contains("\"status\":\"ok\""), "{body}");
-        assert!(server.state().metrics.streamed_responses() >= 1);
+        assert!(server.state().metrics.streamed_responses.get() >= 1);
         server.shutdown();
     }
 }

@@ -25,6 +25,7 @@
 //! reports hits, misses, and cumulative load latency.
 
 use crate::http::HttpError;
+use crate::ops::{Counter, Exposition, Kind};
 use certa_cluster::Partition;
 use certa_core::{lockcheck, BoxedMatcher, Dataset, Record, Side};
 use certa_datagen::{generate, DatasetId, Scale};
@@ -34,11 +35,11 @@ use certa_models::{
 };
 use certa_store::{
     build_signature, decode_er_model, peek_model_kind, ModelSignature, ModelStore, Repository,
+    StoreError,
 };
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -263,19 +264,36 @@ pub struct PartitionEntry {
     pub threshold: f64,
 }
 
-/// Store-effectiveness counters for the warm-start path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StoreStats {
+/// The registry's counters, rendered into `/metrics` by
+/// [`Registry::render`]. Store and transfer counters stay zero without a
+/// `--store-dir` and with [`TransferMode::Off`] respectively.
+#[derive(Debug, Default)]
+pub struct RegistryCounters {
     /// Entries materialized by loading persisted artifacts.
-    pub hits: u64,
+    pub store_hits: Counter,
     /// Entries that had to be trained (then persisted, when a store is
     /// configured).
-    pub misses: u64,
+    pub store_misses: Counter,
     /// Cumulative wall time spent loading from the store, in microseconds.
-    pub load_micros: u64,
+    pub store_load_micros: Counter,
     /// Best-effort persistence failures (model, dataset, or partition
     /// saves). Non-zero on a read-only or broken store directory.
-    pub save_errors: u64,
+    pub store_save_errors: Counter,
+    /// Store misses warm-started by fine-tuning the nearest stored model.
+    pub transfer_hits: Counter,
+    /// Store misses under `--transfer nearest` that found no donor and
+    /// trained cold.
+    pub transfer_misses: Counter,
+    /// `/v1/block` runs.
+    pub block_runs: Counter,
+    /// Candidate pairs those runs generated.
+    pub block_candidates: Counter,
+    /// `/v1/cluster` runs.
+    pub cluster_runs: Counter,
+    /// Entities those runs resolved.
+    pub cluster_entities: Counter,
+    /// `/v1/entity` partition lookups.
+    pub entity_lookups: Counter,
 }
 
 /// Quality record of one nearest-model transfer, per canonical model name.
@@ -320,17 +338,8 @@ pub struct Registry {
     // Repository index + transfer quality records (same-rank key 2; never
     // held while acquiring the entries or partitions locks).
     transfer: Mutex<TransferState>,
-    store_hits: AtomicU64,
-    store_misses: AtomicU64,
-    store_load_micros: AtomicU64,
-    store_save_errors: AtomicU64,
-    transfer_hits: AtomicU64,
-    transfer_misses: AtomicU64,
-    block_requests: AtomicU64,
-    block_candidates: AtomicU64,
-    cluster_requests: AtomicU64,
-    cluster_entities: AtomicU64,
-    entity_lookups: AtomicU64,
+    /// Store, transfer, block and cluster accounting.
+    pub counters: RegistryCounters,
 }
 
 impl Registry {
@@ -343,33 +352,18 @@ impl Registry {
             entries: Mutex::new(BTreeMap::new()),
             partitions: Mutex::new(BTreeMap::new()),
             transfer: Mutex::new(TransferState::default()),
-            store_hits: AtomicU64::new(0),
-            store_misses: AtomicU64::new(0),
-            store_load_micros: AtomicU64::new(0),
-            store_save_errors: AtomicU64::new(0),
-            transfer_hits: AtomicU64::new(0),
-            transfer_misses: AtomicU64::new(0),
-            block_requests: AtomicU64::new(0),
-            block_candidates: AtomicU64::new(0),
-            cluster_requests: AtomicU64::new(0),
-            cluster_entities: AtomicU64::new(0),
-            entity_lookups: AtomicU64::new(0),
+            counters: RegistryCounters::default(),
         }
     }
 
-    /// Account one `/v1/block` run and the candidates it generated.
-    pub fn record_block(&self, candidates: usize) {
-        self.block_requests.fetch_add(1, Ordering::Relaxed);
-        self.block_candidates
-            .fetch_add(candidates as u64, Ordering::Relaxed);
-    }
-
-    /// `(runs, total candidates)` accounted by [`Registry::record_block`].
-    pub fn block_stats(&self) -> (u64, u64) {
-        (
-            self.block_requests.load(Ordering::Relaxed),
-            self.block_candidates.load(Ordering::Relaxed),
-        )
+    /// Count one failed best-effort save of `what` and log it; the request
+    /// that triggered the save still succeeds.
+    fn persist_failed(&self, what: &str, store: &ModelStore, e: &StoreError) {
+        self.counters.store_save_errors.inc();
+        eprintln!(
+            "certa-serve: could not persist {what} to {}: {e}",
+            store.dir().display()
+        );
     }
 
     /// Account one `/v1/cluster` run, hold its partition for `/v1/entity`
@@ -384,9 +378,8 @@ impl Registry {
         clusterer: &str,
         threshold: f64,
     ) {
-        self.cluster_requests.fetch_add(1, Ordering::Relaxed);
-        self.cluster_entities
-            .fetch_add(partition.len() as u64, Ordering::Relaxed);
+        self.counters.cluster_runs.inc();
+        self.counters.cluster_entities.add(partition.len() as u64);
         if let Some(store) = &self.store {
             let (scale, seed) = (self.config.scale, self.config.seed);
             if let Err(e) = store.save_partition(
@@ -398,12 +391,7 @@ impl Registry {
                 clusterer,
                 threshold,
             ) {
-                self.store_save_errors.fetch_add(1, Ordering::Relaxed);
-                eprintln!(
-                    "certa-serve: could not persist partition for {} to {}: {e}",
-                    entry.name,
-                    store.dir().display()
-                );
+                self.persist_failed(&format!("partition for {}", entry.name), store, &e);
             }
         }
         let stored = Arc::new(PartitionEntry {
@@ -421,7 +409,7 @@ impl Registry {
     /// a verified persisted partition for this `(dataset, model, scale,
     /// seed)` world. `None` until either exists.
     pub fn partition_for(&self, entry: &ModelEntry) -> Option<Arc<PartitionEntry>> {
-        self.entity_lookups.fetch_add(1, Ordering::Relaxed);
+        self.counters.entity_lookups.inc();
         let owner = self as *const Registry as usize;
         {
             let _held = lockcheck::acquire(owner, lockcheck::rank::SHARD, 1);
@@ -438,8 +426,9 @@ impl Registry {
         let loaded = store
             .load_partition(entry.dataset_id, entry.kind, scale, seed)
             .ok()?;
-        self.store_load_micros
-            .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+        self.counters
+            .store_load_micros
+            .add(t0.elapsed().as_micros() as u64);
         let stored = Arc::new(PartitionEntry {
             partition: Arc::new(loaded.partition),
             clusterer: loaded.clusterer,
@@ -454,38 +443,9 @@ impl Registry {
         ))
     }
 
-    /// `(cluster runs, total entities resolved, entity lookups)` accounted
-    /// by [`Registry::record_cluster`] / [`Registry::partition_for`].
-    pub fn cluster_stats(&self) -> (u64, u64, u64) {
-        (
-            self.cluster_requests.load(Ordering::Relaxed),
-            self.cluster_entities.load(Ordering::Relaxed),
-            self.entity_lookups.load(Ordering::Relaxed),
-        )
-    }
-
     /// The serving configuration.
     pub fn config(&self) -> &ServeConfig {
         &self.config
-    }
-
-    /// Warm-start counters (all zero when no store is configured).
-    pub fn store_stats(&self) -> StoreStats {
-        StoreStats {
-            hits: self.store_hits.load(Ordering::Relaxed),
-            misses: self.store_misses.load(Ordering::Relaxed),
-            load_micros: self.store_load_micros.load(Ordering::Relaxed),
-            save_errors: self.store_save_errors.load(Ordering::Relaxed),
-        }
-    }
-
-    /// `(transfer hits, transfer misses)` accounted by the
-    /// `--transfer nearest` path. Both zero with [`TransferMode::Off`].
-    pub fn transfer_stats(&self) -> (u64, u64) {
-        (
-            self.transfer_hits.load(Ordering::Relaxed),
-            self.transfer_misses.load(Ordering::Relaxed),
-        )
     }
 
     /// Parse and canonicalize a `"<dataset>/<model>"` name.
@@ -626,10 +586,11 @@ impl Registry {
             // Whatever actually loaded counts toward the load-latency
             // metric — on the dataset-only path the decode work was real
             // even though the entry still has to train.
-            self.store_load_micros
-                .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+            self.counters
+                .store_load_micros
+                .add(t0.elapsed().as_micros() as u64);
             if let Ok(model) = model {
-                self.store_hits.fetch_add(1, Ordering::Relaxed);
+                self.counters.store_hits.inc();
                 return Some(Ok((dataset, model)));
             }
             // Dataset loaded but no valid model: train on the loaded
@@ -640,12 +601,12 @@ impl Registry {
         let (dataset, dataset_was_stored) = match stored_dataset {
             Some(Ok(pair)) => return pair,
             Some(Err(dataset)) => {
-                self.store_misses.fetch_add(1, Ordering::Relaxed);
+                self.counters.store_misses.inc();
                 (dataset, true)
             }
             None => {
                 if self.store.is_some() {
-                    self.store_misses.fetch_add(1, Ordering::Relaxed);
+                    self.counters.store_misses.inc();
                 }
                 (generate(dataset_id, scale, seed), false)
             }
@@ -667,12 +628,7 @@ impl Registry {
                     })
             };
             if let Err(e) = saved {
-                self.store_save_errors.fetch_add(1, Ordering::Relaxed);
-                eprintln!(
-                    "certa-serve: could not persist {dataset_id}/{} to {}: {e}",
-                    kind.paper_name(),
-                    store.dir().display()
-                );
+                self.persist_failed(&format!("{dataset_id}/{}", kind.paper_name()), store, &e);
             } else if self.config.transfer == TransferMode::Nearest {
                 // A cold save may postdate the repository scan; drop the
                 // index so the next transfer attempt sees this artifact.
@@ -749,14 +705,10 @@ impl Registry {
                 similarity,
                 tuned_f1: report.test_f1,
             };
-            self.transfer_hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.transfer_hits.inc();
             if !dataset_was_stored {
                 if let Err(e) = store.save_dataset(dataset_id, scale, seed, dataset) {
-                    self.store_save_errors.fetch_add(1, Ordering::Relaxed);
-                    eprintln!(
-                        "certa-serve: could not persist {dataset_id} dataset to {}: {e}",
-                        store.dir().display()
-                    );
+                    self.persist_failed(&format!("{dataset_id} dataset"), store, &e);
                 }
             }
             let saved = store.save_model_signed(dataset_id, kind, scale, seed, &tuned, dataset);
@@ -782,15 +734,11 @@ impl Registry {
                 t.quality.insert(canonical.clone(), quality);
             }
             if let Err(e) = saved {
-                self.store_save_errors.fetch_add(1, Ordering::Relaxed);
-                eprintln!(
-                    "certa-serve: could not persist transferred {canonical} to {}: {e}",
-                    store.dir().display()
-                );
+                self.persist_failed(&format!("transferred {canonical}"), store, &e);
             }
             return Some(tuned);
         }
-        self.transfer_misses.fetch_add(1, Ordering::Relaxed);
+        self.counters.transfer_misses.inc();
         None
     }
 
@@ -803,157 +751,83 @@ impl Registry {
             .collect()
     }
 
-    /// Per-model cache-effectiveness lines for the `/metrics` exposition.
-    pub fn cache_metric_lines(&self) -> String {
-        let mut out = String::new();
+    /// Append the registry's families to the exposition: per-model score
+    /// cache and featurizer memo, then store, transfer, block and cluster
+    /// accounting. Renders nothing until a model has been resolved; from
+    /// then on the store counters render even without a `--store-dir`
+    /// (zeros), so dashboards can tell "no store" from "store never hit".
+    pub fn render(&self, out: &mut Exposition) {
         let loaded = self.loaded();
         if loaded.is_empty() {
-            return out;
+            return;
         }
-        out.push_str("# TYPE certa_serve_cache_hits_total counter\n");
-        let stats: Vec<(String, CacheStats, usize)> = loaded
+        let cache: Vec<(&str, CacheStats, usize)> = loaded
             .iter()
-            .map(|e| (e.name.clone(), e.cache.stats(), e.cache.len()))
+            .map(|e| (e.name.as_str(), e.cache.stats(), e.cache.len()))
             .collect();
-        for (name, s, _) in &stats {
-            out.push_str(&format!(
-                "certa_serve_cache_hits_total{{model=\"{name}\"}} {}\n",
-                s.hits
-            ));
-        }
-        out.push_str("# TYPE certa_serve_cache_misses_total counter\n");
-        for (name, s, _) in &stats {
-            out.push_str(&format!(
-                "certa_serve_cache_misses_total{{model=\"{name}\"}} {}\n",
-                s.misses
-            ));
-        }
-        out.push_str("# TYPE certa_serve_cache_entries gauge\n");
-        for (name, _, len) in &stats {
-            out.push_str(&format!(
-                "certa_serve_cache_entries{{model=\"{name}\"}} {len}\n"
-            ));
-        }
+        out.family(
+            Kind::Counter,
+            "certa_serve_cache_hits_total",
+            "model",
+            cache.iter().map(|(name, s, _)| (name, s.hits)),
+        );
+        out.family(
+            Kind::Counter,
+            "certa_serve_cache_misses_total",
+            "model",
+            cache.iter().map(|(name, s, _)| (name, s.misses)),
+        );
+        out.family(
+            Kind::Gauge,
+            "certa_serve_cache_entries",
+            "model",
+            cache.iter().map(|(name, _, len)| (name, *len)),
+        );
         // Featurizer-memo effectiveness (per-value featurization artifacts),
         // next to the score-cache counters it composes with.
-        let memo: Vec<(String, CacheStats, usize)> = loaded
+        let memo: Vec<(&str, CacheStats, usize)> = loaded
             .iter()
-            .map(|e| (e.name.clone(), e.model.memo_stats(), e.model.memo_len()))
+            .map(|e| (e.name.as_str(), e.model.memo_stats(), e.model.memo_len()))
             .collect();
-        out.push_str("# TYPE certa_serve_featurizer_memo_hits_total counter\n");
-        for (name, s, _) in &memo {
-            out.push_str(&format!(
-                "certa_serve_featurizer_memo_hits_total{{model=\"{name}\"}} {}\n",
-                s.hits
-            ));
-        }
-        out.push_str("# TYPE certa_serve_featurizer_memo_misses_total counter\n");
-        for (name, s, _) in &memo {
-            out.push_str(&format!(
-                "certa_serve_featurizer_memo_misses_total{{model=\"{name}\"}} {}\n",
-                s.misses
-            ));
-        }
-        out.push_str("# TYPE certa_serve_featurizer_memo_entries gauge\n");
-        for (name, _, len) in &memo {
-            out.push_str(&format!(
-                "certa_serve_featurizer_memo_entries{{model=\"{name}\"}} {len}\n"
-            ));
-        }
-        out.push_str(&self.store_metric_lines());
-        out.push_str(&self.transfer_metric_lines());
-        out.push_str(&self.block_metric_lines());
-        out.push_str(&self.cluster_metric_lines());
-        out
-    }
+        out.family(
+            Kind::Counter,
+            "certa_serve_featurizer_memo_hits_total",
+            "model",
+            memo.iter().map(|(name, s, _)| (name, s.hits)),
+        );
+        out.family(
+            Kind::Counter,
+            "certa_serve_featurizer_memo_misses_total",
+            "model",
+            memo.iter().map(|(name, s, _)| (name, s.misses)),
+        );
+        out.family(
+            Kind::Gauge,
+            "certa_serve_featurizer_memo_entries",
+            "model",
+            memo.iter().map(|(name, _, len)| (name, *len)),
+        );
 
-    /// Blocking-layer lines for the `/metrics` exposition: how many
-    /// candidate-generation runs the server has performed and how many
-    /// candidate pairs they produced in total.
-    pub fn block_metric_lines(&self) -> String {
-        let (runs, candidates) = self.block_stats();
-        let mut out = String::new();
-        out.push_str("# TYPE certa_serve_block_runs_total counter\n");
-        out.push_str(&format!("certa_serve_block_runs_total {runs}\n"));
-        out.push_str("# TYPE certa_serve_block_candidates_total counter\n");
-        out.push_str(&format!(
-            "certa_serve_block_candidates_total {candidates}\n"
-        ));
-        out
-    }
-
-    /// Clustering-layer lines for the `/metrics` exposition: `/v1/cluster`
-    /// runs, entities they resolved, `/v1/entity` lookups, and a per-model
-    /// gauge of the partition currently held for lookups.
-    pub fn cluster_metric_lines(&self) -> String {
-        let (runs, entities, lookups) = self.cluster_stats();
-        let mut out = String::new();
-        out.push_str("# TYPE certa_serve_cluster_runs_total counter\n");
-        out.push_str(&format!("certa_serve_cluster_runs_total {runs}\n"));
-        out.push_str("# TYPE certa_serve_cluster_entities_total counter\n");
-        out.push_str(&format!("certa_serve_cluster_entities_total {entities}\n"));
-        out.push_str("# TYPE certa_serve_cluster_entity_lookups_total counter\n");
-        out.push_str(&format!(
-            "certa_serve_cluster_entity_lookups_total {lookups}\n"
-        ));
-        let held: Vec<(String, usize)> = {
-            let owner = self as *const Registry as usize;
-            let _held = lockcheck::acquire(owner, lockcheck::rank::SHARD, 1);
-            self.partitions
-                .lock()
-                .iter()
-                .map(|(name, p)| (name.clone(), p.partition.len()))
-                .collect()
-        };
-        if !held.is_empty() {
-            out.push_str("# TYPE certa_serve_cluster_partition_entities gauge\n");
-            for (name, len) in &held {
-                out.push_str(&format!(
-                    "certa_serve_cluster_partition_entities{{model=\"{name}\"}} {len}\n"
-                ));
-            }
+        let c = &self.counters;
+        for (name, counter) in [
+            ("certa_serve_store_hits_total", &c.store_hits),
+            ("certa_serve_store_misses_total", &c.store_misses),
+        ] {
+            out.scalar(Kind::Counter, name, counter);
         }
-        out
-    }
-
-    /// Warm-start effectiveness lines for the `/metrics` exposition:
-    /// store hits/misses and cumulative load latency. Emitted whenever any
-    /// entry has been materialized (zeros without a `--store-dir`, so
-    /// dashboards can tell "no store" from "store never hit").
-    pub fn store_metric_lines(&self) -> String {
-        let stats = self.store_stats();
-        let mut out = String::new();
-        out.push_str("# TYPE certa_serve_store_hits_total counter\n");
-        out.push_str(&format!("certa_serve_store_hits_total {}\n", stats.hits));
-        out.push_str("# TYPE certa_serve_store_misses_total counter\n");
-        out.push_str(&format!(
-            "certa_serve_store_misses_total {}\n",
-            stats.misses
-        ));
-        out.push_str("# TYPE certa_serve_store_load_seconds_total counter\n");
-        // certa-lint: allow(no-float-format) — monitoring counter, not byte-compared wire output; f64 Display is shortest-round-trip
-        out.push_str(&format!(
-            "certa_serve_store_load_seconds_total {}\n",
-            stats.load_micros as f64 / 1e6
-        ));
-        out.push_str("# TYPE certa_serve_store_save_errors_total counter\n");
-        out.push_str(&format!(
-            "certa_serve_store_save_errors_total {}\n",
-            stats.save_errors
-        ));
-        out
-    }
-
-    /// Transfer-mode lines for the `/metrics` exposition: hit/miss
-    /// counters plus, per transferred model, the donor similarity and the
-    /// tuned test-F1.
-    pub fn transfer_metric_lines(&self) -> String {
-        let (hits, misses) = self.transfer_stats();
-        let mut out = String::new();
-        out.push_str("# TYPE certa_serve_transfer_hits_total counter\n");
-        out.push_str(&format!("certa_serve_transfer_hits_total {hits}\n"));
-        out.push_str("# TYPE certa_serve_transfer_misses_total counter\n");
-        out.push_str(&format!("certa_serve_transfer_misses_total {misses}\n"));
+        out.scalar(
+            Kind::Counter,
+            "certa_serve_store_load_seconds_total",
+            c.store_load_micros.get() as f64 / 1e6,
+        );
+        for (name, counter) in [
+            ("certa_serve_store_save_errors_total", &c.store_save_errors),
+            ("certa_serve_transfer_hits_total", &c.transfer_hits),
+            ("certa_serve_transfer_misses_total", &c.transfer_misses),
+        ] {
+            out.scalar(Kind::Counter, name, counter);
+        }
+        // Per transferred model: donor similarity and the tuned test-F1.
         let quality: Vec<(String, TransferQuality)> = {
             let owner = self as *const Registry as usize;
             let _held = lockcheck::acquire(owner, lockcheck::rank::SHARD, 2);
@@ -964,25 +838,46 @@ impl Registry {
                 .map(|(name, q)| (name.clone(), *q))
                 .collect()
         };
-        if !quality.is_empty() {
-            out.push_str("# TYPE certa_serve_transfer_similarity gauge\n");
-            for (name, q) in &quality {
-                // certa-lint: allow(no-float-format) — monitoring gauge, not byte-compared wire output; f64 Display is shortest-round-trip
-                out.push_str(&format!(
-                    "certa_serve_transfer_similarity{{model=\"{name}\"}} {}\n",
-                    q.similarity
-                ));
-            }
-            out.push_str("# TYPE certa_serve_transfer_test_f1 gauge\n");
-            for (name, q) in &quality {
-                // certa-lint: allow(no-float-format) — monitoring gauge, not byte-compared wire output; f64 Display is shortest-round-trip
-                out.push_str(&format!(
-                    "certa_serve_transfer_test_f1{{model=\"{name}\"}} {}\n",
-                    q.tuned_f1
-                ));
-            }
+        out.family(
+            Kind::Gauge,
+            "certa_serve_transfer_similarity",
+            "model",
+            quality.iter().map(|(name, q)| (name, q.similarity)),
+        );
+        out.family(
+            Kind::Gauge,
+            "certa_serve_transfer_test_f1",
+            "model",
+            quality.iter().map(|(name, q)| (name, q.tuned_f1)),
+        );
+        for (name, counter) in [
+            ("certa_serve_block_runs_total", &c.block_runs),
+            ("certa_serve_block_candidates_total", &c.block_candidates),
+            ("certa_serve_cluster_runs_total", &c.cluster_runs),
+            ("certa_serve_cluster_entities_total", &c.cluster_entities),
+            (
+                "certa_serve_cluster_entity_lookups_total",
+                &c.entity_lookups,
+            ),
+        ] {
+            out.scalar(Kind::Counter, name, counter);
         }
-        out
+        // The partition currently held for `/v1/entity` lookups, per model.
+        let held: Vec<(String, usize)> = {
+            let owner = self as *const Registry as usize;
+            let _held = lockcheck::acquire(owner, lockcheck::rank::SHARD, 1);
+            self.partitions
+                .lock()
+                .iter()
+                .map(|(name, p)| (name.clone(), p.partition.len()))
+                .collect()
+        };
+        out.family(
+            Kind::Gauge,
+            "certa_serve_cluster_partition_entities",
+            "model",
+            held,
+        );
     }
 }
 
@@ -991,6 +886,13 @@ mod tests {
     use super::*;
     use crate::wire::RecordDto;
     use certa_core::{Matcher, RecordId};
+    use std::sync::atomic::Ordering;
+
+    fn exposition(registry: &Registry) -> String {
+        let mut out = Exposition::default();
+        registry.render(&mut out);
+        out.into_text()
+    }
 
     #[test]
     fn canonical_names_parse_and_reject() {
@@ -1013,6 +915,7 @@ mod tests {
     fn resolve_trains_once_and_canonicalizes_aliases() {
         let registry = Registry::new(ServeConfig::default());
         assert!(registry.loaded().is_empty());
+        assert_eq!(exposition(&registry), "", "nothing renders before a model");
         let a = registry.resolve("FZ/DeepMatcher").unwrap();
         // Case/alias variants land on the same memoized entry.
         let b = registry.resolve("fz/deepmatcher-sim").unwrap();
@@ -1028,7 +931,7 @@ mod tests {
         assert_eq!(s1, s2);
         let stats = a.cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
-        let lines = registry.cache_metric_lines();
+        let lines = exposition(&registry);
         assert!(lines.contains("cache_hits_total{model=\"FZ/DeepMatcher\"} 1"));
         // The featurizer memo saw exactly one uncached scoring pass.
         let memo = a.model.memo_stats();
@@ -1062,8 +965,8 @@ mod tests {
         // Cold process: trains, persists, counts a miss.
         let cold = Registry::new(config.clone());
         let entry = cold.resolve("FZ/DeepMatcher").unwrap();
-        let stats = cold.store_stats();
-        assert_eq!((stats.hits, stats.misses), (0, 1));
+        let c = &cold.counters;
+        assert_eq!((c.store_hits.get(), c.store_misses.get()), (0, 1));
         assert!(
             ModelStore::new(&dir).list().unwrap().len() >= 2,
             "dataset + model artifacts persisted"
@@ -1075,11 +978,15 @@ mod tests {
         // "Restarted" process: same config, fresh registry — must load.
         let warm = Registry::new(config);
         let entry2 = warm.resolve("FZ/DeepMatcher").unwrap();
-        let stats = warm.store_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 0), "no retraining");
+        let c = &warm.counters;
+        assert_eq!(
+            (c.store_hits.get(), c.store_misses.get()),
+            (1, 0),
+            "no retraining"
+        );
         let warm_score = entry2.matcher().score(&u, &v);
         assert_eq!(warm_score.to_bits(), cold_score.to_bits());
-        let lines = warm.cache_metric_lines();
+        let lines = exposition(&warm);
         assert!(lines.contains("certa_serve_store_hits_total 1"), "{lines}");
         assert!(
             lines.contains("certa_serve_store_load_seconds_total"),
@@ -1090,10 +997,10 @@ mod tests {
         // the dataset, and subsequent restarts hit both artifacts.
         let entry3 = warm.resolve("FZ/Ditto").unwrap();
         assert_eq!(entry3.kind, ModelKind::Ditto);
-        assert_eq!(warm.store_stats().misses, 1);
+        assert_eq!(warm.counters.store_misses.get(), 1);
         let third = Registry::new(warm.config().clone());
         third.resolve("FZ/Ditto").unwrap();
-        assert_eq!(third.store_stats().hits, 1);
+        assert_eq!(third.counters.store_hits.get(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1116,7 +1023,11 @@ mod tests {
             vec![ClusterNode::left(1)],
         ]));
         cold.record_cluster(&entry, Arc::clone(&partition), "connected-components", 0.5);
-        assert_eq!(cold.cluster_stats(), (1, 2, 1));
+        let c = &cold.counters;
+        assert_eq!(
+            [&c.cluster_runs, &c.cluster_entities, &c.entity_lookups].map(Counter::get),
+            [1, 2, 1]
+        );
         assert!(
             cold.partition_for(&entry).is_some(),
             "held for this process"
@@ -1130,7 +1041,7 @@ mod tests {
         assert_eq!(*held.partition, *partition);
         assert_eq!(held.clusterer, "connected-components");
         assert_eq!(held.threshold, 0.5);
-        let lines = warm.cluster_metric_lines();
+        let lines = exposition(&warm);
         assert!(
             lines.contains("certa_serve_cluster_partition_entities{model=\"FZ/Ditto\"} 2"),
             "{lines}"
@@ -1152,11 +1063,11 @@ mod tests {
         let u = entry.dataset.left().records()[0].clone();
         let v = entry.dataset.right().records()[0].clone();
         assert!((0.0..=1.0).contains(&entry.matcher().score(&u, &v)));
-        assert_eq!(registry.store_stats().misses, 1);
+        assert_eq!(registry.counters.store_misses.get(), 1);
         // The failed best-effort persist is counted, not just logged: the
         // dataset save fails first and short-circuits the model save.
-        assert_eq!(registry.store_stats().save_errors, 1);
-        let lines = registry.store_metric_lines();
+        assert_eq!(registry.counters.store_save_errors.get(), 1);
+        let lines = exposition(&registry);
         assert!(
             lines.contains("certa_serve_store_save_errors_total 1"),
             "{lines}"
@@ -1184,14 +1095,15 @@ mod tests {
         };
         let registry = Registry::new(config.clone());
         let entry = registry.resolve("FZ/DeepMatcher").unwrap();
+        let c = &registry.counters;
         assert_eq!(
-            registry.transfer_stats(),
+            (c.transfer_hits.get(), c.transfer_misses.get()),
             (1, 0),
             "sibling donor fine-tuned"
         );
-        assert_eq!(registry.store_stats().misses, 1, "still a store miss");
-        assert_eq!(registry.store_stats().save_errors, 0);
-        let lines = registry.cache_metric_lines();
+        assert_eq!(c.store_misses.get(), 1, "still a store miss");
+        assert_eq!(c.store_save_errors.get(), 0);
+        let lines = exposition(&registry);
         assert!(
             lines.contains("certa_serve_transfer_hits_total 1"),
             "{lines}"
@@ -1217,15 +1129,21 @@ mod tests {
         // a plain store hit and never reaches the transfer path.
         let warm = Registry::new(config.clone());
         warm.resolve("FZ/DeepMatcher").unwrap();
-        assert_eq!(warm.store_stats().hits, 1);
-        assert_eq!(warm.transfer_stats(), (0, 0));
+        let c = &warm.counters;
+        assert_eq!(c.store_hits.get(), 1);
+        assert_eq!((c.transfer_hits.get(), c.transfer_misses.get()), (0, 0));
 
         // An unrelated schema (AB ∩ FZ attribute names = ∅, similarity 0)
         // finds no donor above the floor: a transfer miss, cold train.
         let ab = Registry::new(config);
         ab.resolve("AB/DeepMatcher").unwrap();
-        assert_eq!(ab.transfer_stats(), (0, 1), "no donor above the floor");
-        let lines = ab.transfer_metric_lines();
+        let c = &ab.counters;
+        assert_eq!(
+            (c.transfer_hits.get(), c.transfer_misses.get()),
+            (0, 1),
+            "no donor above the floor"
+        );
+        let lines = exposition(&ab);
         assert!(
             lines.contains("certa_serve_transfer_misses_total 1"),
             "{lines}"

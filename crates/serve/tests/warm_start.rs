@@ -59,7 +59,11 @@ fn restarted_registry_serves_byte_identical_explanations() {
             resp.body
         })
         .collect();
-    assert_eq!(cold.store_stats().misses, 1, "cold start trained once");
+    assert_eq!(
+        cold.counters.store_misses.get(),
+        1,
+        "cold start trained once"
+    );
 
     // Restarted process: fresh registry over the same store directory.
     let warm = Registry::new(config);
@@ -71,13 +75,13 @@ fn restarted_registry_serves_byte_identical_explanations() {
             resp.body
         })
         .collect();
-    let stats = warm.store_stats();
+    let c = &warm.counters;
     assert_eq!(
-        (stats.hits, stats.misses),
+        (c.store_hits.get(), c.store_misses.get()),
         (1, 0),
         "warm start must load, not retrain"
     );
-    assert!(stats.load_micros > 0, "load latency was measured");
+    assert!(c.store_load_micros.get() > 0, "load latency was measured");
 
     for (i, (cold_body, warm_body)) in cold_bodies.iter().zip(&warm_bodies).enumerate() {
         assert_eq!(
