@@ -82,9 +82,9 @@ impl Blocker for SortedNeighborhood {
 /// tiebreak); records sharing a key token become candidates.
 ///
 /// Tokens with document frequency above `max_df` are never used as keys —
-/// the same stop-word discipline as [`certa_core::TokenIndex`]'s
-/// `max_posting`, and the guard that keeps common-token buckets from
-/// degenerating into the full cross product.
+/// the same stop-word discipline as [`TokenIndex`]'s `max_posting`, and
+/// the guard that keeps common-token buckets from degenerating into the
+/// full cross product.
 #[derive(Debug, Clone, Copy)]
 pub struct TokenPrefix {
     /// How many of the rarest tokens key each record.

@@ -180,7 +180,7 @@ fn cell_workers(cfg: &GridConfig, datasets: usize) -> usize {
 /// metrics route explanations through the explainer's *batch* entry point
 /// (`explain_saliency_batch`), so CERTA's work-stealing engine and the
 /// sharded score cache are exercised by every table binary. The batch
-/// engine's worker count is divided by the dataset fan-out ([`cell_workers`])
+/// engine's worker count is divided by the dataset fan-out (`cell_workers`)
 /// so the two parallelism levels share the machine instead of multiplying.
 pub fn run_saliency_grid<F>(
     prepared: &[PreparedDataset],

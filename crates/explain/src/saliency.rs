@@ -47,7 +47,7 @@ impl NecessityCounter {
         self.flips
     }
 
-    /// Finalize into Φ = N[a] / f (all-zero when no flips were seen).
+    /// Finalize into `Φ = N[a] / f` (all-zero when no flips were seen).
     pub fn into_explanation(self) -> SaliencyExplanation {
         if self.flips == 0 {
             return SaliencyExplanation::zeros(self.left.len(), self.right.len());

@@ -1,23 +1,34 @@
 //! Pair featurization — one style per model family.
 //!
-//! Every family is decomposed into **pure per-value / per-value-pair
-//! helpers** (cleaned forms and token views come pre-cached on the interned
-//! [`AttrValue`]s) plus a thin assembly layer. [`Featurizer::features_with`]
-//! optionally routes the helpers through a [`FeatureMemo`], which caches
-//! their outputs by stable [`certa_core::ValueId`] — because the helpers are
-//! deterministic, memoized and unmemoized featurization are bit-for-bit
-//! identical (pinned by `tests/memo_props.rs`, gated by `bench_featurize`).
+//! Every family is a fold over **pure per-value / per-value-pair
+//! artifacts** (cleaned forms and token views come pre-cached on the
+//! interned [`AttrValue`]s) plus a thin assembly layer:
+//!
+//! * DeepER sums each value's token-embedding partials into a record
+//!   embedding;
+//! * DeepMatcher concatenates one similarity column per aligned value pair;
+//! * Ditto counts token and trigram overlaps of the two records'
+//!   serializations from each value's parts (its tokens with their hasher
+//!   slots, and its trigram codes), without building the serializations.
+//!   The Ditto section below says why that is exact.
+//!
+//! [`Featurizer::features_with`] optionally routes the artifacts through a
+//! [`FeatureMemo`], which caches them by stable [`certa_core::ValueId`] —
+//! because they are deterministic, memoized and unmemoized featurization
+//! are bit-for-bit identical (pinned by `tests/memo_props.rs` and
+//! `tests/ditto_oracle.rs`, gated by `bench_featurize`).
 
 use crate::embedding::{cosine, HashedEmbedder};
-use crate::memo::{EmbedArtifact, FeatureMemo};
-use certa_core::hash::FxHashSet;
+use crate::memo::{DittoSegment, EmbedArtifact, FeatureMemo};
+use certa_core::hash::fx_hash_one;
 use certa_core::tokens::clean;
-use certa_core::{AttrValue, Dataset, Record, Split};
+use certa_core::{AttrValue, Dataset, Record, Side, Split};
 use certa_ml::FeatureHasher;
 use certa_text::{
     jaccard_tokens, jaro_winkler, levenshtein_sim, numeric_sim, parse_number, trigram_sim,
-    CorpusStats,
+    with_gram_overlap, CorpusStats, Overlap, OverlapKey, Trigrams,
 };
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Number of per-attribute similarity features produced by
@@ -227,6 +238,24 @@ fn deepmatcher_features(
 }
 
 // -------------------------------------------------------------------- Ditto
+//
+// Ditto serializes a record as `col0 <seg0>col1 <seg1>…`, right-trimmed,
+// where `seg<i>` is attribute `i`'s value as `ditto_segment` writes it: each
+// token followed by one space. A pair's features are set measures over the
+// two serializations, and both sets are unions of per-value parts:
+//
+// * Tokens: the serialization's whitespace tokens are the `col<i>` markers
+//   and then each segment's tokens, in order; the markers are dropped.
+// * Trigrams: every piece `col<i> <seg_i>` is at least four chars long and
+//   starts with `co`, so a window ends at most two chars into the next
+//   piece. The set is, over attributes `i`, the windows starting in the
+//   marker `col<i> ` (they run into the segment's first two chars) plus the
+//   windows starting in the segment: those of `seg_i + "co"`, or of the
+//   right-trimmed segment for the last attribute.
+//
+// `DittoParts` holds one value's share, derived once from its segment, so a
+// scored pair only folds its values' parts. `tests/ditto_oracle.rs` checks
+// the fold bit for bit against serializing both records.
 
 /// Serialize one value's tokens Ditto-style (numbers rounded to integers —
 /// Ditto's number normalization DK injection — other tokens cleaned), each
@@ -246,23 +275,171 @@ fn ditto_segment(value: &AttrValue) -> String {
     s
 }
 
-fn serialize_ditto_with(r: &Record, memo: Option<&FeatureMemo>) -> String {
-    let mut s = String::new();
-    for (i, val) in r.values().iter().enumerate() {
-        s.push_str("col");
-        s.push_str(&i.to_string());
-        s.push(' ');
-        match memo {
-            Some(m) => s.push_str(&m.segment(val.id(), || ditto_segment(val))),
-            None => s.push_str(&ditto_segment(val)),
-        }
-    }
-    s.trim_end().to_string()
+/// One token of a Ditto segment, with what a pair needs of it precomputed.
+struct DittoToken {
+    /// Byte range of the token in its segment.
+    span: Range<usize>,
+    /// FxHash of the token: its key hash in the token-set [`Overlap`].
+    hash: u64,
+    /// Hasher bucket and sign of `both:<token>`, fed when both records hold
+    /// the token.
+    both: (usize, f64),
+    /// Hasher bucket and sign of `only:<token>`, fed when one record does.
+    only: (usize, f64),
 }
 
-/// Serialize a record Ditto-style: `COL <attr-index> VAL <tokens…>`.
-pub fn serialize_ditto(r: &Record) -> String {
-    serialize_ditto_with(r, None)
+/// Fills the token table's vacant slots.
+const NO_TOKEN: DittoToken = DittoToken {
+    span: 0..0,
+    hash: 0,
+    both: (0, 0.0),
+    only: (0, 0.0),
+};
+
+/// A token as the token-set [`Overlap`] counts it: equal when the text is.
+#[derive(Clone, Copy)]
+struct TokenKey<'a> {
+    text: &'a str,
+    token: &'a DittoToken,
+}
+
+impl PartialEq for TokenKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.token.hash == other.token.hash && self.text == other.text
+    }
+}
+
+impl Eq for TokenKey<'_> {}
+
+impl Default for TokenKey<'_> {
+    fn default() -> Self {
+        TokenKey {
+            text: "",
+            token: &NO_TOKEN,
+        }
+    }
+}
+
+impl OverlapKey for TokenKey<'_> {
+    #[inline]
+    fn overlap_hash(self) -> u64 {
+        self.token.hash
+    }
+}
+
+/// The part of a pair's Ditto features that one value decides, derived from
+/// its segment (see the section comment above).
+pub(crate) struct DittoParts {
+    /// The segment's tokens in order, repeats kept, less those starting
+    /// with `col`, which the marker filter also drops.
+    tokens: Vec<DittoToken>,
+    /// Codes of the trigram windows starting in the segment when another
+    /// piece follows: those of `segment + "co"`.
+    codes: Vec<u64>,
+    /// How many of `codes` lie in the right-trimmed segment: the windows of
+    /// a record's last value.
+    last_codes: usize,
+    /// The first two chars of `segment + "co"`, which the windows starting
+    /// in the marker run into.
+    lead: [char; 2],
+    /// How many of `lead` lie in the right-trimmed segment.
+    last_lead: usize,
+}
+
+impl DittoParts {
+    pub(crate) fn derive(segment: &str, hasher: &FeatureHasher) -> DittoParts {
+        let mut feature = String::new();
+        let mut slot = |prefix: &str, token: &str| {
+            feature.clear();
+            feature.push_str(prefix);
+            feature.push_str(token);
+            hasher.slot(&feature)
+        };
+        let mut tokens = Vec::with_capacity(segment.split_whitespace().count());
+        tokens.extend(
+            segment
+                .split_whitespace()
+                .filter(|t| !t.starts_with("col"))
+                .map(|t| {
+                    let start = t.as_ptr() as usize - segment.as_ptr() as usize;
+                    DittoToken {
+                        span: start..start + t.len(),
+                        hash: fx_hash_one(t),
+                        both: slot("both:", t),
+                        only: slot("only:", t),
+                    }
+                }),
+        );
+        let mut lead = ['c', 'o'];
+        let mut window = Trigrams::default();
+        // One window per char of the segment: its byte length bounds them.
+        let mut codes = Vec::with_capacity(segment.len());
+        for (k, c) in segment.chars().chain("co".chars()).enumerate() {
+            if let Some(l) = lead.get_mut(k) {
+                *l = c;
+            }
+            codes.extend(window.push(c));
+        }
+        let trimmed = segment.trim_end().chars().count();
+        DittoParts {
+            tokens,
+            codes,
+            last_codes: trimmed.saturating_sub(2),
+            lead,
+            last_lead: trimmed.min(2),
+        }
+    }
+}
+
+/// One value as a pair's fold reads it: its segment and derived parts.
+type DittoValue<'a> = (&'a str, &'a DittoParts);
+
+/// The chars of attribute `i`'s marker, `col<i>`.
+fn marker(i: usize) -> impl Iterator<Item = char> {
+    let width = i.checked_ilog10().unwrap_or(0) + 1;
+    "col".chars().chain(
+        (0..width)
+            .rev()
+            .map(move |k| char::from(b'0' + (i / 10usize.pow(k) % 10) as u8)),
+    )
+}
+
+/// An upper bound on the trigram windows a marker adds (`col<i> ` and two
+/// lead chars, for `i` below 10,000); the table grows past it if need be.
+const MARKER_WINDOWS: usize = 8;
+
+/// Insert the trigram codes of a record's serialization, given its values
+/// in schema order.
+fn insert_serialized_trigrams(grams: &mut Overlap<u64>, side: Side, values: &[DittoValue<'_>]) {
+    for (i, (_, p)) in values.iter().enumerate() {
+        let (codes, lead) = if i + 1 == values.len() {
+            (&p.codes[..p.last_codes], &p.lead[..p.last_lead])
+        } else {
+            (&p.codes[..], &p.lead[..])
+        };
+        // The windows starting in the marker: a last value that trims to
+        // nothing leaves the bare `col<i>`, without its space.
+        let mut window = Trigrams::default();
+        let space = (!lead.is_empty()).then_some(' ');
+        for c in marker(i).chain(space).chain(lead.iter().copied()) {
+            if let Some(code) = window.push(c) {
+                grams.insert(side, code);
+            }
+        }
+        for &code in codes {
+            grams.insert(side, code);
+        }
+    }
+}
+
+/// A record's tokens, in order, as the token set counts them.
+fn token_keys<'a>(values: &'a [DittoValue<'a>]) -> impl Iterator<Item = TokenKey<'a>> + 'a {
+    values.iter().flat_map(|&(segment, parts)| {
+        parts.tokens.iter().map(move |token| TokenKey {
+            text: &segment[token.span.clone()],
+            token,
+        })
+    })
 }
 
 fn ditto_features(
@@ -271,54 +448,92 @@ fn ditto_features(
     v: &Record,
     memo: Option<&FeatureMemo>,
 ) -> Vec<f64> {
-    let su = serialize_ditto_with(u, memo);
-    let sv = serialize_ditto_with(v, memo);
-    let tu: Vec<&str> = su
-        .split_whitespace()
-        .filter(|t| !t.starts_with("col"))
-        .collect();
-    let tv: Vec<&str> = sv
-        .split_whitespace()
-        .filter(|t| !t.starts_with("col"))
-        .collect();
-    let set_u: FxHashSet<&str> = tu.iter().copied().collect();
-    let set_v: FxHashSet<&str> = tv.iter().copied().collect();
+    match memo {
+        Some(m) => {
+            let segments = |r: &Record| -> Vec<Arc<DittoSegment>> {
+                r.values()
+                    .iter()
+                    .map(|value| m.segment(value.id(), || ditto_segment(value)))
+                    .collect()
+            };
+            let (su, sv) = (segments(u), segments(v));
+            let [vu, vv] = [&su, &sv].map(|segments| -> Vec<DittoValue<'_>> {
+                segments
+                    .iter()
+                    .map(|s| (s.text(), s.parts(hasher)))
+                    .collect()
+            });
+            fold_ditto(hasher, &vu, &vv)
+        }
+        None => {
+            let derive = |r: &Record| -> Vec<(String, DittoParts)> {
+                r.values()
+                    .iter()
+                    .map(|value| {
+                        let segment = ditto_segment(value);
+                        let parts = DittoParts::derive(&segment, hasher);
+                        (segment, parts)
+                    })
+                    .collect()
+            };
+            let (du, dv) = (derive(u), derive(v));
+            let [vu, vv] = [&du, &dv].map(|derived| -> Vec<DittoValue<'_>> {
+                derived.iter().map(|(s, p)| (s.as_str(), p)).collect()
+            });
+            fold_ditto(hasher, &vu, &vv)
+        }
+    }
+}
 
-    let mut hashed = vec![0.0; hasher.dim()];
+/// Ditto's pair features, folded from both records' values.
+fn fold_ditto(hasher: &FeatureHasher, u: &[DittoValue<'_>], v: &[DittoValue<'_>]) -> Vec<f64> {
+    let token_count =
+        |values: &[DittoValue<'_>]| -> usize { values.iter().map(|(_, p)| p.tokens.len()).sum() };
+    let (nu, nv) = (token_count(u), token_count(v));
+
+    let mut tokens = Overlap::with_capacity(nu + nv);
+    for key in token_keys(u) {
+        tokens.insert(Side::Left, key);
+    }
+    for key in token_keys(v) {
+        tokens.insert(Side::Right, key);
+    }
+    // The hashed buckets, then four scalars.
+    let mut out = Vec::with_capacity(hasher.dim() + 4);
+    out.resize(hasher.dim(), 0.0);
     // Cross features: shared tokens (strong match evidence), one-sided
-    // tokens (mismatch evidence), marked with direction prefixes.
-    let mut scratch = String::new();
-    for &t in set_u.intersection(&set_v) {
-        scratch.clear();
-        scratch.push_str("both:");
-        scratch.push_str(t);
-        hasher.add(&mut hashed, &scratch, 1.0);
+    // tokens (mismatch evidence), marked with direction prefixes. A bucket
+    // only sums ±1 and ±0.5, which is exact in any order, so the table's
+    // order cannot move a bit.
+    for (key, shared) in tokens.keys() {
+        let ((idx, sign), weight) = if shared {
+            (key.token.both, 1.0)
+        } else {
+            (key.token.only, -0.5)
+        };
+        out[idx] += sign * weight;
     }
-    for &t in set_u.difference(&set_v) {
-        scratch.clear();
-        scratch.push_str("only:");
-        scratch.push_str(t);
-        hasher.add(&mut hashed, &scratch, -0.5);
-    }
-    for &t in set_v.difference(&set_u) {
-        scratch.clear();
-        scratch.push_str("only:");
-        scratch.push_str(t);
-        hasher.add(&mut hashed, &scratch, -0.5);
-    }
-    let denom = (set_u.len() + set_v.len()).max(1) as f64;
-    hashed.iter_mut().for_each(|x| *x /= denom.sqrt());
+    let (distinct_u, distinct_v, _) = tokens.counts();
+    let denom = (distinct_u + distinct_v).max(1) as f64;
+    out.iter_mut().for_each(|x| *x /= denom.sqrt());
 
-    let inter = set_u.intersection(&set_v).count() as f64;
-    let union = (set_u.len() + set_v.len()) as f64 - inter;
-    let mut out = hashed;
-    out.push(if union > 0.0 { inter / union } else { 1.0 }); // token jaccard
-    out.push(trigram_sim(&su, &sv));
-    out.push(levenshtein_sim(
-        tu.first().copied().unwrap_or(""),
-        tv.first().copied().unwrap_or(""),
-    ));
-    out.push((tu.len() as f64 - tv.len() as f64).abs() / (tu.len() + tv.len()).max(1) as f64);
+    let gram_bound = |values: &[DittoValue<'_>]| -> usize {
+        values
+            .iter()
+            .map(|(_, p)| p.codes.len() + MARKER_WINDOWS)
+            .sum()
+    };
+    let gram_sim = with_gram_overlap(gram_bound(u) + gram_bound(v), |grams| {
+        insert_serialized_trigrams(grams, Side::Left, u);
+        insert_serialized_trigrams(grams, Side::Right, v);
+        grams.jaccard()
+    });
+
+    let first = |values| token_keys(values).next().map_or("", |key| key.text);
+    out.push(tokens.jaccard());
+    out.push(gram_sim);
+    out.push(levenshtein_sim(first(u), first(v)));
+    out.push((nu as f64 - nv as f64).abs() / (nu + nv).max(1) as f64);
     out
 }
 
@@ -408,11 +623,39 @@ mod tests {
 
     #[test]
     fn ditto_serialization_normalizes_numbers() {
-        let r = rec(0, &["sony tv", "price 379.72"]);
-        let s = serialize_ditto(&r);
-        assert!(s.contains("col0 sony tv"));
-        assert!(s.contains("380"), "rounded number in `{s}`");
+        let s = ditto_segment(&AttrValue::intern("Sony tv, price 379.72"));
+        assert_eq!(s, "sony tv price 380 ");
         assert!(!s.contains("379.72"));
+    }
+
+    #[test]
+    fn ditto_parts_split_the_segment() {
+        let hasher = FeatureHasher::new(48, 0xD177);
+        let parts = DittoParts::derive("b columbia  a ", &hasher);
+        let tokens: Vec<&str> = parts
+            .tokens
+            .iter()
+            .map(|t| &"b columbia  a "[t.span.clone()])
+            .collect();
+        assert_eq!(tokens, ["b", "a"], "`col`-prefixed tokens are dropped");
+        // Windows of "b columbia  a co": one per char from the third on.
+        assert_eq!(parts.codes.len(), 14);
+        assert_eq!(parts.last_codes, 11, "windows of \"b columbia  a\"");
+        assert_eq!((parts.lead, parts.last_lead), (['b', ' '], 2));
+        let blank = DittoParts::derive(" ", &hasher);
+        assert!(blank.tokens.is_empty());
+        assert_eq!((blank.codes.len(), blank.last_codes), (1, 0));
+        assert_eq!((blank.lead, blank.last_lead), ([' ', 'c'], 0));
+        let empty = DittoParts::derive("", &hasher);
+        assert_eq!((empty.lead, empty.last_lead), (['c', 'o'], 0));
+        assert_eq!(DittoParts::derive("x ", &hasher).last_lead, 1);
+    }
+
+    #[test]
+    fn markers_spell_the_attribute_index() {
+        for i in [0, 7, 10, 11, 99, 100, 12345] {
+            assert_eq!(marker(i).collect::<String>(), format!("col{i}"));
+        }
     }
 
     #[test]
@@ -458,11 +701,11 @@ mod tests {
     fn memoized_serialization_matches_unmemoized() {
         let r = rec(0, &["sony tv", "price 379.72", ""]);
         let memo = FeatureMemo::new();
-        assert_eq!(serialize_ditto_with(&r, Some(&memo)), serialize_ditto(&r));
-        assert_eq!(
-            serialize_ditto_with(&r, Some(&memo)),
-            serialize_ditto(&r),
-            "warm pass identical too"
-        );
+        for pass in ["cold", "warm"] {
+            for value in r.values() {
+                let segment = memo.segment(value.id(), || ditto_segment(value));
+                assert_eq!(segment.text(), ditto_segment(value), "{pass} pass");
+            }
+        }
     }
 }

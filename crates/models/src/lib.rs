@@ -36,7 +36,7 @@ pub mod zoo;
 pub use cache::{CacheStats, CachingMatcher, CountingMatcher};
 pub use embedding::HashedEmbedder;
 pub use features::{Featurizer, FeaturizerKind};
-pub use memo::{EmbedArtifact, FeatureMemo};
+pub use memo::{DittoSegment, EmbedArtifact, FeatureMemo};
 pub use rule::RuleMatcher;
 pub use trainer::{fine_tune_model, train_model, ErModel, TrainConfig, TrainReport};
 pub use zoo::{train_zoo, ModelKind, TrainedZoo};

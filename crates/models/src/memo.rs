@@ -13,15 +13,25 @@
 //! * **DeepMatcher** — the full `ATTR_FEATURES`-wide per-attribute similarity
 //!   column (Jaccard, Jaro-Winkler, trigram, TF-IDF/numeric, missing flags),
 //!   keyed by `(attr, ValueId, ValueId)`.
-//! * **Ditto** — the serialized `VAL` token segment of one value (number
-//!   rounding + cleaning applied), keyed by `ValueId`.
+//! * **Ditto** — one [`DittoSegment`] per value, keyed by `ValueId`: the
+//!   serialized `VAL` token segment (number rounding + cleaning applied),
+//!   which is what `certa-store` persists, plus the parts of a pair's
+//!   features that depend on that value alone — its surviving tokens with
+//!   their hasher slots, the token count, the first token and its trigram
+//!   codes. The parts are derived from the segment on first use, so a
+//!   segment seeded from a snapshot derives them without a memo miss. They
+//!   depend on the model's `FeatureHasher`, one more reason a memo serves
+//!   one model.
 //!
 //! ## Determinism contract
 //!
 //! The memo **only** caches outputs of pure, deterministic functions; a hit
 //! returns the exact `f64`s / bytes a fresh computation would produce, so
 //! memoized and unmemoized featurization are **bit-for-bit identical**
-//! (pinned by `tests/memo_props.rs` and gated in CI by `bench_featurize`).
+//! (pinned by `tests/memo_props.rs` and `tests/ditto_oracle.rs`, and gated
+//! in CI by `bench_featurize`). A Ditto segment's derived parts are a pure
+//! function of its text and the model's hasher, so deriving them lazily
+//! keeps the contract.
 //! `ValueId`s are process-local but stable for the process lifetime (values
 //! are never freed), so entries never go stale.
 //!
@@ -35,14 +45,16 @@
 //! insert the same deterministic value (last write wins, identical bytes).
 
 use crate::cache::CacheStats;
+use crate::features::DittoParts;
 use certa_core::hash::{fx_hash_one, FxHashMap};
 use certa_core::lockcheck;
 use certa_core::ValueId;
+use certa_ml::FeatureHasher;
 use parking_lot::RwLock;
 use std::fmt;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Number of independent memo shards per artifact family (power of two, so
 /// shard selection is a mask) — mirrors the score cache's sharding.
@@ -108,6 +120,36 @@ pub struct EmbedArtifact {
     pub count: usize,
 }
 
+/// Cached per-value Ditto artifact: the value's serialized `VAL` token
+/// segment and the pair-independent parts derived from it on first use.
+pub struct DittoSegment {
+    text: Arc<str>,
+    parts: OnceLock<DittoParts>,
+}
+
+impl DittoSegment {
+    /// A segment whose parts are not derived yet.
+    pub(crate) fn new(text: impl Into<Arc<str>>) -> Self {
+        DittoSegment {
+            text: text.into(),
+            parts: OnceLock::new(),
+        }
+    }
+
+    /// The serialized segment: each token followed by one space.
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// The parts of a pair's features this value alone decides, derived
+    /// under `hasher` on the first call. Every call must pass the same
+    /// hasher: one segment, like the memo holding it, serves one model.
+    pub(crate) fn parts(&self, hasher: &FeatureHasher) -> &DittoParts {
+        self.parts
+            .get_or_init(|| DittoParts::derive(&self.text, hasher))
+    }
+}
+
 /// The sharded per-value / per-value-pair featurization memo (see module
 /// docs). One memo belongs to one trained model — the DeepMatcher columns
 /// depend on that model's fitted IDF corpus, so memos are never shared
@@ -117,8 +159,8 @@ pub struct FeatureMemo {
     embed: ShardedMap<u32, Arc<EmbedArtifact>>,
     /// DeepMatcher: `(attr, ValueId, ValueId)` → similarity column.
     columns: ShardedMap<(u16, u32, u32), Arc<[f64]>>,
-    /// Ditto: `ValueId` → serialized `VAL` token segment.
-    segments: ShardedMap<u32, Arc<str>>,
+    /// Ditto: `ValueId` → serialized `VAL` token segment and its parts.
+    segments: ShardedMap<u32, Arc<DittoSegment>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -215,9 +257,12 @@ impl FeatureMemo {
         })
     }
 
-    /// Ditto serialized token segment of one value.
-    pub fn segment(&self, value: ValueId, compute: impl FnOnce() -> String) -> Arc<str> {
-        self.lookup(&self.segments, value.0, || Arc::from(compute().as_str()))
+    /// Ditto segment of one value: its serialized tokens, with the parts a
+    /// pair derives from them on first use.
+    pub fn segment(&self, value: ValueId, compute: impl FnOnce() -> String) -> Arc<DittoSegment> {
+        self.lookup(&self.segments, value.0, || {
+            Arc::new(DittoSegment::new(compute()))
+        })
     }
 
     // --------------------------------------------------- snapshot support
@@ -266,7 +311,7 @@ impl FeatureMemo {
                 shard
                     .read()
                     .iter()
-                    .map(|(&id, s)| (ValueId(id), Arc::clone(s))),
+                    .map(|(&id, s)| (ValueId(id), Arc::clone(&s.text))),
             );
         }
         out
@@ -285,7 +330,8 @@ impl FeatureMemo {
 
     /// Pre-fill one Ditto serialized segment (no counter movement).
     pub fn seed_segment(&self, value: ValueId, segment: &str) {
-        self.segments.insert(value.0, Arc::from(segment));
+        self.segments
+            .insert(value.0, Arc::new(DittoSegment::new(segment)));
     }
 }
 
@@ -323,7 +369,7 @@ mod tests {
         let c3 = memo.column(0, ValueId(2), ValueId(1), || vec![0.9]);
         assert_eq!(&c3[..], &[0.9], "pair order participates in the key");
         let s = memo.segment(ValueId(1), || "sony tv".to_string());
-        assert_eq!(&*s, "sony tv");
+        assert_eq!(s.text(), "sony tv");
         assert_eq!(memo.len(), 4);
         assert_eq!(memo.stats().misses, 4);
     }
@@ -363,7 +409,7 @@ mod tests {
         let c = fresh.column(2, ValueId(3), ValueId(9), || unreachable!("seeded"));
         assert_eq!(&c[..], &[0.5, 0.0]);
         let s = fresh.segment(ValueId(9), || unreachable!("seeded"));
-        assert_eq!(&*s, "sony 380");
+        assert_eq!(s.text(), "sony 380");
         assert_eq!(fresh.stats().hits, 3);
     }
 

@@ -7,7 +7,9 @@
 //! TF-IDF cosine, Ditto's serializer) that moves a single feature by one ulp
 //! fails here. The pairs cover non-ASCII text, decimals Ditto rounds, empty
 //! attributes and tokens starting with `col`, which Ditto's serializer
-//! treats specially.
+//! treats specially. Three more Ditto pairs pin the edges of Ditto's
+//! per-value fold: two-digit attribute markers, a last attribute that trims
+//! away, and one-char values.
 
 use certa_core::{Dataset, LabeledPair, Record, RecordId, Schema, Table};
 use certa_models::{FeatureMemo, Featurizer, FeaturizerKind};
@@ -119,6 +121,86 @@ fn feature_vectors_are_bit_identical_to_the_golden_digests() {
                      want {len} and {want:#018x}\n  bits: [{}]",
                     features.len(),
                     bits.join(", ")
+                ));
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+/// Ditto pairs outside the arity-3 schema above, `(left, right, feature
+/// count, digest)`, captured while Ditto still featurized by serializing
+/// both records: an arity-11 pair (two-digit `col1x` markers, `col`-prefixed
+/// tokens, `1e300`, multi-byte UTF-8, tokens that clean to nothing), a pair
+/// whose last attribute is whitespace-only on one side and cleans to
+/// nothing on the other, and one-char values.
+const DITTO_EDGES: [(&[&str], &[&str], usize, u64); 3] = [
+    (
+        &[
+            "Columbia Records col7",
+            "col the colossus",
+            "1e300",
+            "",
+            "Ünïcödé straße 東京 😀",
+            "12.5 -3.49 0.5",
+            "a",
+            "—  !!",
+            "x-y/z.w",
+            "columbia",
+            "Last Attr 10",
+        ],
+        &[
+            "columbia records",
+            "the colossus",
+            "1e300 1E300",
+            "   ",
+            "unicode strasse 東京",
+            "12 -3 1",
+            "b",
+            "!!",
+            "x y z w",
+            "col10",
+            "last attr ten",
+        ],
+        52,
+        0x5faf_0edc_0453_fed2,
+    ),
+    (
+        &["sony bravia tv", "black theater", "   "],
+        &["sony bravia", "theater black", "— !!"],
+        52,
+        0xc709_b821_816e_f653,
+    ),
+    (
+        &["a", "é", "7"],
+        &["a", "b", "x"],
+        52,
+        0xe714_9085_31fd_18e9,
+    ),
+];
+
+#[test]
+fn ditto_edge_pairs_are_bit_identical_to_the_golden_digests() {
+    let featurizer = Featurizer::fit(FeaturizerKind::Ditto, &dataset());
+    let record = |id: u32, values: &[&str]| {
+        Record::new(RecordId(id), values.iter().map(|s| s.to_string()).collect())
+    };
+    let mut mismatches = Vec::new();
+    for (case, (left, right, len, want)) in DITTO_EDGES.into_iter().enumerate() {
+        let (u, v) = (record(0, left), record(1, right));
+        let memo = FeatureMemo::new();
+        let runs = [
+            ("plain", featurizer.features(&u, &v)),
+            ("cold memo", featurizer.features_with(&u, &v, Some(&memo))),
+            ("warm memo", featurizer.features_with(&u, &v, Some(&memo))),
+        ];
+        for (mode, features) in runs {
+            let got = digest(&features);
+            if features.len() != len || got != want {
+                mismatches.push(format!(
+                    "Ditto edge case {case} ({mode}): {} features, digest {got:#018x}, \
+                     want {len} and {want:#018x}",
+                    features.len()
                 ));
             }
         }

@@ -18,6 +18,8 @@
 //! (`{"error":{"code":…,"message":…}}`) with the appropriate status —
 //! handlers return `Result<Response, HttpError>` and the single
 //! [`handle`] entry point renders either side.
+//!
+//! [`Certa::explain_batch`]: certa_explain::Certa::explain_batch
 
 use crate::http::{HttpError, Request, Response};
 use crate::ops::{Exposition, Route, ServerMetrics};

@@ -4,7 +4,7 @@
 //! One **event thread** owns the `TcpListener` (nonblocking) and an epoll
 //! [`reactor::Poller`]. Sockets never hold threads: the event loop
 //! accepts, reads, and writes with nonblocking syscalls, and each
-//! connection is a small state machine ([`Conn`]) holding its read buffer,
+//! connection is a small state machine (`Conn`) holding its read buffer,
 //! pipeline of in-flight requests, and pending output bytes. Complete
 //! requests parsed by [`crate::http::parse_request`] are handed to the
 //! **worker pool** over a bounded job queue; workers run the router (CPU
@@ -36,6 +36,9 @@
 //! wake pipe. In-flight connections drain, bounded by a deadline; workers
 //! join, and the listener is closed before `shutdown` returns, so the port
 //! is immediately rebindable.
+//!
+//! [`reactor::Poller`]: crate::reactor::Poller
+//! [`reactor::TenantBuckets`]: crate::reactor::TenantBuckets
 
 use crate::http::{parse_request, HttpError, ParseOutcome, Request};
 use crate::ops::{Route, ServerMetrics};

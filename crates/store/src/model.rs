@@ -418,24 +418,42 @@ mod tests {
     #[test]
     fn memo_section_warm_starts_the_decoded_model() {
         let d = generate(DatasetId::AB, Scale::Smoke, 5);
-        let kind = ModelKind::DeepMatcher;
-        let (model, _) = train_model(kind, &d, &TrainConfig::for_kind(kind));
         let (u, v) = d.expect_pair(d.split(Split::Test)[0].pair);
-        let warm_score = model.score(u, v);
-        assert!(model.memo_len() > 0, "scoring populated the memo");
+        for kind in ModelKind::all() {
+            let (model, _) = train_model(kind, &d, &TrainConfig::for_kind(kind));
+            let warm_score = model.score(u, v);
+            assert!(model.memo_len() > 0, "{kind}: scoring populated the memo");
 
-        let bytes = encode_er_model_with_memo(&model);
-        assert!(
-            bytes.len() > encode_er_model(&model).len(),
-            "memo section adds bytes"
-        );
-        let decoded = decode_er_model(&bytes).unwrap();
-        assert_eq!(decoded.memo_len(), model.memo_len(), "memo re-seeded");
-        // The warm pair scores without any memo miss.
-        assert_eq!(decoded.score(u, v).to_bits(), warm_score.to_bits());
-        let stats = decoded.memo_stats();
-        assert_eq!(stats.misses, 0, "all artifacts served from the snapshot");
-        assert!(stats.hits > 0);
+            let bytes = encode_er_model_with_memo(&model);
+            assert!(
+                bytes.len() > encode_er_model(&model).len(),
+                "{kind}: memo section adds bytes"
+            );
+            let decoded = decode_er_model(&bytes).unwrap();
+            assert_eq!(
+                decoded.memo_len(),
+                model.memo_len(),
+                "{kind}: memo re-seeded"
+            );
+            // The warm pair scores without any memo miss: Ditto derives
+            // each seeded segment's parts on first use, not by recomputing.
+            assert_eq!(
+                decoded.score(u, v).to_bits(),
+                warm_score.to_bits(),
+                "{kind}: score"
+            );
+            let stats = decoded.memo_stats();
+            assert_eq!(
+                stats.misses, 0,
+                "{kind}: all artifacts served from the snapshot"
+            );
+            assert!(stats.hits > 0, "{kind}: memo hits");
+            assert_eq!(
+                encode_er_model_with_memo(&decoded),
+                bytes,
+                "{kind}: the decoded memo re-encodes to the same bytes"
+            );
+        }
     }
 
     #[test]

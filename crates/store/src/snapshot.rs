@@ -124,8 +124,8 @@ pub fn encode_memo(memo: &FeatureMemo) -> Vec<u8> {
 }
 
 /// Decode a `MEMO` section payload into an existing memo: every value
-/// string is re-interned (allocating a fresh, process-valid [`ValueId`])
-/// and its artifact seeded.
+/// string is re-interned (allocating a fresh, process-valid
+/// [`ValueId`](certa_core::ValueId)) and its artifact seeded.
 ///
 /// Every artifact is validated against `featurizer` **before** seeding —
 /// a checksum-valid but dimensionally wrong artifact (a short DeepMatcher
@@ -310,7 +310,7 @@ mod tests {
         let fresh = FeatureMemo::new();
         decode_memo_into(&bytes, &fresh, &ditto_featurizer()).unwrap();
         let seg = fresh.segment(b.id(), || unreachable!("seeded"));
-        assert_eq!(&*seg, "beta 42");
+        assert_eq!(seg.text(), "beta 42");
         assert_eq!(fresh.stats().misses, 0);
     }
 

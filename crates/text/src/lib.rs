@@ -21,7 +21,7 @@ pub use cosine::{cosine_tf, CorpusStats};
 pub use edit::{levenshtein, levenshtein_sim, osa_distance};
 pub use jaro::{jaro, jaro_winkler};
 pub use monge_elkan::{monge_elkan, monge_elkan_symmetric};
-pub use ngram::trigram_sim;
+pub use ngram::{trigram_sim, with_gram_overlap, Overlap, OverlapKey, Trigrams};
 pub use numeric::{numeric_sim, parse_number};
 pub use token_sets::{
     dice, dice_tokens, jaccard, jaccard_tokens, overlap_coefficient, overlap_coefficient_tokens,
