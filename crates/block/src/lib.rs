@@ -4,8 +4,8 @@
 //! its work *per pair*; what it cannot afford is the quadratic pair space of
 //! two large tables. This crate supplies the missing front end: **blocking**
 //! — cheap, high-recall candidate generation that turns `|U| × |V|` into a
-//! candidate list a few orders of magnitude smaller, which the sharded
-//! [`certa_models::CachingMatcher`] batch path then scores and
+//! candidate list a few orders of magnitude smaller, which the matcher
+//! (behind the sharded [`certa_models::CachingMatcher`]) then scores and
 //! [`certa_explain::Certa::explain_batch`] explains.
 //!
 //! Four blockers live behind the common [`Blocker`] trait:

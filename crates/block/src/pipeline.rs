@@ -3,9 +3,9 @@
 //! [`run_pipeline`] is the end-to-end path a million-record deployment
 //! runs: a [`Blocker`] shrinks `|U| × |V|` to a candidate list, the
 //! candidates stream through [`certa_core::Matcher::score_batch`] in
-//! bounded batches (wrap the model in [`certa_models::CachingMatcher`] to
-//! get the sharded memoized path), a bounded top-`k` heap survives, and the
-//! best few pairs optionally go through
+//! bounded batches, each pair scored by `score` (wrap the model in
+//! [`certa_models::CachingMatcher`] to memoize repeats), a bounded top-`k`
+//! heap survives, and the best few pairs optionally go through
 //! [`certa_explain::Certa::explain_batch`].
 //!
 //! Memory stays `O(candidates + batch_size + top_k)` — scores are folded
@@ -20,7 +20,8 @@ use certa_models::{CacheStats, CachingMatcher};
 /// Tuning knobs for [`run_pipeline`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
-    /// Candidates scored per `score_batch` call.
+    /// Candidates scored per `score_batch` call; bounds the scores held
+    /// at once.
     pub batch_size: usize,
     /// How many of the highest-scoring pairs to keep in the report.
     pub top_k: usize,

@@ -2,7 +2,7 @@
 //!
 //! The input is the canonical candidate list a [`certa_block::Blocker`]
 //! emits — sorted by `(left, right)`, deduplicated. [`score_candidates`]
-//! runs it through the matcher's batch path in bounded chunks, optionally
+//! runs it through `Matcher::score_batch` in bounded chunks, optionally
 //! fanned out over a work-stealing worker pool; [`threshold_edges`] keeps
 //! the edges at or above the match threshold. Both preserve input order, so
 //! the edge list inherits the candidate list's canonical order and the

@@ -12,8 +12,8 @@
 //! - within one owner, locks are acquired in strictly increasing
 //!   `(rank, key)` order — shards are rank 0, per-pair cells rank 1, so
 //!   shard→cell is legal, cell→shard (the deadlock shape) is not, and
-//!   same-rank acquisitions must walk keys upward exactly like the batch
-//!   path's sorted miss-cell locking;
+//!   same-rank acquisitions must walk keys upward (no path holds two
+//!   cells today; the rule keeps any future one deadlock-free);
 //! - an owner can require that *nothing* of its own is held at a point
 //!   (the registry materializes models outside its map lock).
 //!

@@ -20,11 +20,10 @@ pub trait Matcher: Send + Sync {
 
     /// Matching scores for a batch of pairs, in input order.
     ///
-    /// The default delegates to [`Matcher::score`] pair-by-pair. Models whose
-    /// forward pass amortizes across inputs (feature extraction, matrix
-    /// forward passes, cache lookups) should override this; the override
-    /// **must** return exactly `score(u, v)` per pair — batch explainers and
-    /// the score caches rely on the two paths being value-identical.
+    /// The default scores pair by pair through [`Matcher::score`], and no
+    /// model or cache in the workspace overrides it. An override (a tracing
+    /// wrapper, say) **must** return exactly `score(u, v)` per pair — batch
+    /// explainers rely on the two paths being value-identical.
     fn score_batch(&self, pairs: &[(&Record, &Record)]) -> Vec<f64> {
         pairs.iter().map(|(u, v)| self.score(u, v)).collect()
     }
@@ -73,8 +72,8 @@ impl Prediction {
 }
 
 /// Blanket impl so `Arc<dyn Matcher>` and `&M` satisfy `Matcher` bounds.
-/// `score_batch` is forwarded explicitly so wrappers never silently fall
-/// back to the sequential default and drop a model's vectorized override.
+/// `score_batch` is forwarded explicitly so a wrapper never drops the
+/// wrapped matcher's override.
 impl<M: Matcher + ?Sized> Matcher for &M {
     fn name(&self) -> &str {
         (**self).name()

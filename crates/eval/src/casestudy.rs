@@ -79,7 +79,7 @@ pub fn case_study(
         .collect();
 
     // Per-attribute actual saliency + method scores. All masked probes go
-    // through one `score_batch` call so vectorized matchers amortize.
+    // through one `score_batch` call.
     let masked: Vec<(certa_core::Record, certa_core::Record)> = all_attrs
         .iter()
         .map(|&attr| mask_pair(u, v, &[attr]))

@@ -51,7 +51,7 @@ pub fn faithfulness_auc_with(
     for &t in &FAITHFULNESS_THRESHOLDS {
         let k = ((t * total_attrs as f64).ceil() as usize).clamp(1, total_attrs);
         // One `score_batch` call re-predicts the whole masked set at this
-        // threshold (vectorized matchers amortize the forward pass).
+        // threshold.
         let masked: Vec<(certa_core::Record, certa_core::Record)> = pairs
             .iter()
             .zip(explanations.iter())

@@ -41,10 +41,9 @@
 //! at-most-once per distinct pair) so concurrent workers never serialize on
 //! one cache lock nor double-score the model.
 //!
-//! New matchers get the vectorized path by overriding
-//! [`certa_core::Matcher::score_batch`]; the override must stay
-//! value-identical to `score` pair-by-pair — the explainers and caches treat
-//! the two as interchangeable.
+//! [`certa_core::Matcher::score_batch`] is the per-pair `score` loop for
+//! every model in the workspace; an override must stay value-identical to
+//! `score` pair-by-pair — the explainers treat the two as interchangeable.
 
 pub mod augment;
 pub mod batch;

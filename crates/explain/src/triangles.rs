@@ -96,9 +96,8 @@ pub fn find_triangles(
         let mut found_side = 0usize;
         let mut scanned: Vec<&Record> = Vec::new();
         if !cfg.augmentation_only {
-            // Candidates are scored in chunks through `Matcher::score_batch`
-            // so vectorized models (and the sharded cache) amortize the
-            // scan. Chunks never exceed the *remaining* quota, so the
+            // Candidates are scored in chunks through `Matcher::score_batch`.
+            // Chunks never exceed the *remaining* quota, so the
             // overshoot past the last needed candidate is bounded by the
             // shrinking chunk, not by `SCAN_CHUNK`. `candidates_scored`
             // counts every pair actually sent to the model, including a

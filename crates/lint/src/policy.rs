@@ -52,11 +52,10 @@ impl Default for Policy {
                     include: &[
                         "crates/serve/src/",
                         "crates/store/src/",
-                        // The data-parallel kernels and the SoA batch layout
-                        // sit on the serve hot path too: a panic there kills
-                        // a scoring worker, so they carry the same contract.
+                        // The dense kernels sit on the serve hot path too: a
+                        // panic there kills a scoring worker, so they carry
+                        // the same contract.
                         "crates/ml/src/kernels.rs",
-                        "crates/ml/src/batch.rs",
                     ],
                     exclude: BIN_EXCLUDES,
                 },
@@ -247,14 +246,9 @@ mod tests {
         let reactor = p.rules_for("crates/serve/src/reactor.rs");
         assert!(reactor.contains(&("no-panic-path", Level::Deny)));
         assert!(reactor.contains(&("no-nondeterminism", Level::Deny)));
-        for file in ["crates/ml/src/kernels.rs", "crates/ml/src/batch.rs"] {
-            let rules = p.rules_for(file);
-            assert!(rules.contains(&("no-panic-path", Level::Deny)), "{file}");
-            assert!(
-                rules.contains(&("no-nondeterminism", Level::Deny)),
-                "{file}"
-            );
-        }
+        let kernels = p.rules_for("crates/ml/src/kernels.rs");
+        assert!(kernels.contains(&("no-panic-path", Level::Deny)));
+        assert!(kernels.contains(&("no-nondeterminism", Level::Deny)));
         // The rest of certa-ml keeps determinism-only coverage.
         assert!(!p
             .rules_for("crates/ml/src/mlp.rs")

@@ -136,24 +136,6 @@ impl Standardizer {
         self.apply(&mut out);
         out
     }
-
-    /// Transform a feature-major batch in place.
-    ///
-    /// Feature `k` is one contiguous run, so each `(mean, std)` pair is
-    /// loaded once and swept across the whole batch. The transform is
-    /// elementwise — `(x - mean[k]) / std[k]`, the same two operations in
-    /// the same order as [`Standardizer::apply`] — so every item is
-    /// bit-identical to standardizing its row alone.
-    pub fn apply_soa(&self, batch: &mut crate::FeatureBatch) {
-        assert_eq!(batch.dim(), self.mean.len(), "standardizer width mismatch");
-        for (k, (m, s)) in self.mean.iter().zip(self.std.iter()).enumerate() {
-            if let Some(run) = batch.feature_mut(k) {
-                for v in run {
-                    *v = (*v - m) / s;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

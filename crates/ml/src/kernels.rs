@@ -1,5 +1,5 @@
-//! Lane-blocked dense kernels: the data-parallel inner loops under
-//! [`crate::Matrix`] and [`crate::FeatureBatch`].
+//! Blocked dense kernels: the inner loops under [`crate::Matrix`] and the
+//! MLP forward pass.
 //!
 //! ## The determinism constraint
 //!
@@ -18,11 +18,6 @@
 //!   summing its own row in index order. `x[k]` is loaded once per block
 //!   instead of once per row, and the four independent FP chains pipeline
 //!   where the single-accumulator loop serializes.
-//! - [`matmul_soa`] blocks **batch items** [`LANES`] at a time over a
-//!   feature-major ([`crate::FeatureBatch`]) layout: one weight broadcast
-//!   against a contiguous run of eight items' values, eight independent
-//!   accumulators — the autovectorizer's favourite shape. Column `j` of the
-//!   output is bit-identical to `matvec` of column `j`.
 //! - [`dot`] keeps the single sequential chain (its reduction order *is*
 //!   the contract) but walks fixed-width blocks via slice patterns, which
 //!   eliminates per-element bounds checks without touching the association
@@ -32,9 +27,8 @@
 //! function is total — shapes are taken from slice lengths, tails are
 //! handled explicitly, and nothing indexes, unwraps, or asserts.
 
-/// Batch-item lane width of [`matmul_soa`]: eight `f64` accumulators per
-/// block (two AVX2 vectors, one AVX-512 vector).
-pub const LANES: usize = 8;
+/// Block width of [`dot`]'s walk.
+const LANES: usize = 8;
 
 /// Output-row block width of [`matvec_into`].
 const ROW_BLOCK: usize = 4;
@@ -118,65 +112,6 @@ pub fn matvec_into(w: &[f64], rows: usize, cols: usize, x: &[f64], y: &mut Vec<f
     y.resize(rows, 0.0);
 }
 
-/// `Y = W · X` where `X` and `Y` are **feature-major** batches: `x` holds
-/// `cols` rows of `len` items each (`x[k * len + j]` = feature `k` of item
-/// `j`), and `y` receives `w_rows` rows of `len` items in the same layout.
-///
-/// The kernel broadcasts one weight against a contiguous [`LANES`]-item
-/// run, so the eight accumulators advance together while each starts at
-/// `+0.0` and sums its own item's terms in ascending `k` order — column
-/// `j` of the result is bit-identical to `matvec(w, column j)`. `y` is
-/// cleared and resized to `rows * len`.
-pub fn matmul_soa(w: &[f64], rows: usize, cols: usize, x: &[f64], len: usize, y: &mut Vec<f64>) {
-    debug_assert_eq!(w.len(), rows * cols, "weight buffer size mismatch");
-    debug_assert_eq!(x.len(), cols * len, "batch shape mismatch");
-    y.clear();
-    y.resize(rows * len, 0.0);
-    if cols == 0 || len == 0 {
-        return;
-    }
-    for (y_row, w_row) in y.chunks_exact_mut(len).zip(w.chunks_exact(cols)) {
-        let mut j = 0usize;
-        let mut out_lanes = y_row.chunks_exact_mut(LANES);
-        for out in &mut out_lanes {
-            let (mut a0, mut a1, mut a2, mut a3) = (0.0, 0.0, 0.0, 0.0);
-            let (mut a4, mut a5, mut a6, mut a7) = (0.0, 0.0, 0.0, 0.0);
-            for (wk, x_row) in w_row.iter().zip(x.chunks_exact(len)) {
-                if let Some(&[x0, x1, x2, x3, x4, x5, x6, x7]) = x_row.get(j..j + LANES) {
-                    a0 += wk * x0;
-                    a1 += wk * x1;
-                    a2 += wk * x2;
-                    a3 += wk * x3;
-                    a4 += wk * x4;
-                    a5 += wk * x5;
-                    a6 += wk * x6;
-                    a7 += wk * x7;
-                }
-            }
-            if let [o0, o1, o2, o3, o4, o5, o6, o7] = out {
-                *o0 = a0;
-                *o1 = a1;
-                *o2 = a2;
-                *o3 = a3;
-                *o4 = a4;
-                *o5 = a5;
-                *o6 = a6;
-                *o7 = a7;
-            }
-            j += LANES;
-        }
-        for (offset, out) in out_lanes.into_remainder().iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (wk, x_row) in w_row.iter().zip(x.chunks_exact(len)) {
-                if let Some(xv) = x_row.get(j + offset) {
-                    acc += wk * xv;
-                }
-            }
-            *out = acc;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,30 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_columns_match_matvec_bitwise() {
-        for (rows, cols, len) in [(1, 1, 1), (3, 4, 8), (4, 7, 9), (2, 16, 3), (5, 3, 21)] {
-            let w = sample(rows * cols, 5);
-            // Feature-major X: cols rows of len items.
-            let x = sample(cols * len, 6);
-            let mut y = Vec::new();
-            matmul_soa(&w, rows, cols, &x, len, &mut y);
-            assert_eq!(y.len(), rows * len);
-            for j in 0..len {
-                let col: Vec<f64> = (0..cols).map(|k| x[k * len + j]).collect();
-                let mut expect = Vec::new();
-                matvec_into(&w, rows, cols, &col, &mut expect);
-                for r in 0..rows {
-                    assert_eq!(
-                        y[r * len + j].to_bits(),
-                        expect[r].to_bits(),
-                        "{rows}x{cols} len {len} item {j} row {r}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn empty_shapes_are_total() {
         let mut y = vec![1.0];
         matvec_into(&[], 0, 0, &[], &mut y);
@@ -273,11 +184,5 @@ mod tests {
         let mut y = Vec::new();
         matvec_into(&[], 3, 0, &[], &mut y);
         assert_eq!(y, vec![0.0, 0.0, 0.0]);
-        let mut y = vec![1.0];
-        matmul_soa(&[], 0, 0, &[], 4, &mut y);
-        assert!(y.is_empty());
-        let mut y = Vec::new();
-        matmul_soa(&[1.0, 2.0], 1, 2, &[], 0, &mut y);
-        assert!(y.is_empty());
     }
 }

@@ -13,18 +13,16 @@
 //! system — both provided by [`ridge`].
 //!
 //! Everything is deterministic given a seed; pure `f64`-on-`Vec` math with no
-//! BLAS or SIMD intrinsics — the hot paths run on the lane-blocked,
-//! autovectorization-friendly kernels in [`kernels`] over the feature-major
-//! [`batch::FeatureBatch`] layout, pinned bit-identical to the scalar loops
-//! they replaced (dataset scales keep dense layers tiny: tens of inputs,
-//! tens of hidden units).
+//! BLAS or SIMD intrinsics — the forward pass runs on the blocked,
+//! autovectorization-friendly kernels in [`kernels`], pinned bit-identical
+//! to the scalar loops they replaced (dataset scales keep dense layers tiny:
+//! tens of inputs, tens of hidden units).
 
 // Dense linear-algebra kernels index rows/columns explicitly; the iterator
 // rewrites clippy suggests obscure the row-major indexing they implement.
 #![allow(clippy::needless_range_loop)]
 
 pub mod activation;
-pub mod batch;
 pub mod dataset;
 pub mod hashing_features;
 pub mod kernels;
@@ -36,7 +34,6 @@ pub mod optim;
 pub mod ridge;
 
 pub use activation::Activation;
-pub use batch::FeatureBatch;
 pub use dataset::TrainSet;
 pub use hashing_features::FeatureHasher;
 pub use logistic::LogisticRegression;

@@ -5,7 +5,7 @@
 //! statistics to the matcher's score.
 
 use crate::activation::sigmoid;
-use crate::matrix::dot;
+use crate::kernels::dot;
 use crate::optim::sgd_step;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

@@ -96,23 +96,6 @@ impl Matrix {
         y
     }
 
-    /// `Y = W · X` for a feature-major batch `X` (`dim == cols`), written
-    /// into `y` in the same feature-major layout (`rows × batch.len()`).
-    ///
-    /// Column `j` of the result is bit-identical to `matvec(item j)` —
-    /// see [`crate::kernels::matmul_soa`].
-    pub fn matmul_batch(&self, batch: &crate::FeatureBatch, y: &mut Vec<f64>) {
-        assert_eq!(batch.dim(), self.cols, "matmul_batch dimension mismatch");
-        crate::kernels::matmul_soa(
-            &self.data,
-            self.rows,
-            self.cols,
-            batch.data(),
-            batch.len(),
-            y,
-        );
-    }
-
     /// `y = Wᵀ · x` for a column vector `x` (`len == rows`).
     pub fn matvec_t(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.rows, "matvec_t dimension mismatch");
@@ -152,20 +135,10 @@ impl Matrix {
     }
 }
 
-/// Dot product of equal-length slices.
-///
-/// Delegates to the block-walked kernel ([`crate::kernels::dot`]), which
-/// keeps the exact ascending-index accumulation order of the naive
-/// `zip().map().sum()` loop — bit-identical, just without per-element
-/// bounds checks.
-#[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    crate::kernels::dot(a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::dot;
     use proptest::prelude::*;
 
     #[test]

@@ -2,7 +2,6 @@
 //! mini-batch backprop + Adam on the binary cross-entropy loss.
 
 use crate::activation::Activation;
-use crate::batch::FeatureBatch;
 use crate::matrix::Matrix;
 use crate::optim::{Adam, AdamConfig};
 use rand::rngs::StdRng;
@@ -24,25 +23,6 @@ impl Dense {
             *zi = self.act.apply(*zi + bi);
         }
         z
-    }
-
-    /// Layer forward across a feature-major batch. The matmul kernel pins
-    /// each item's accumulation order to the scalar path and bias/activation
-    /// are elementwise, so column `j` of the output is bit-identical to
-    /// `forward(item j)`.
-    fn forward_soa(&self, x: &FeatureBatch) -> FeatureBatch {
-        let len = x.len();
-        if len == 0 {
-            return FeatureBatch::zeros(self.w.rows(), 0);
-        }
-        let mut z = Vec::new();
-        self.w.matmul_batch(x, &mut z);
-        for (row, bi) in z.chunks_exact_mut(len).zip(self.b.iter()) {
-            for zi in row {
-                *zi = self.act.apply(*zi + bi);
-            }
-        }
-        FeatureBatch::from_raw(self.w.rows(), len, z)
     }
 }
 
@@ -233,38 +213,6 @@ impl Mlp {
         a[0]
     }
 
-    /// Batched positive-class probabilities, in input order.
-    ///
-    /// Transposes the rows into a [`FeatureBatch`] and runs
-    /// [`Mlp::predict_proba_soa`]; results are bit-identical to calling
-    /// [`Mlp::predict_proba`] per row.
-    pub fn predict_proba_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        for x in xs {
-            assert_eq!(x.len(), self.input_dim, "feature dimension mismatch");
-        }
-        self.predict_proba_soa(&FeatureBatch::from_rows(self.input_dim, xs))
-    }
-
-    /// Batched positive-class probabilities over a feature-major batch.
-    ///
-    /// The forward pass is swept layer-by-layer across the whole batch on
-    /// the SoA matmul kernel ([`crate::kernels::matmul_soa`]): each layer's
-    /// weight matrix stays hot in cache and every weight is broadcast
-    /// against eight contiguous batch items. Item `j`'s probability is
-    /// bit-identical to `predict_proba(item j)` — the kernel pins each
-    /// item's accumulation order to the scalar path.
-    pub fn predict_proba_soa(&self, batch: &FeatureBatch) -> Vec<f64> {
-        assert_eq!(batch.dim(), self.input_dim, "feature dimension mismatch");
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        let mut a = self.layers[0].forward_soa(batch);
-        for layer in &self.layers[1..] {
-            a = layer.forward_soa(&a);
-        }
-        a.feature(0).map(|probs| probs.to_vec()).unwrap_or_default()
-    }
-
     /// Forward pass caching all activations (input first, output last).
     fn forward_cached(&self, x: &[f64]) -> Vec<Vec<f64>> {
         let mut acts: Vec<Vec<f64>> = Vec::with_capacity(self.layers.len() + 1);
@@ -412,23 +360,6 @@ mod tests {
         ];
         let ys = vec![0.0, 1.0, 1.0, 0.0];
         (xs, ys)
-    }
-
-    #[test]
-    fn batch_forward_matches_single_forward() {
-        let cfg = MlpConfig::default();
-        let net = Mlp::new(3, &cfg);
-        let xs = vec![
-            vec![0.1, -0.4, 2.0],
-            vec![0.0, 0.0, 0.0],
-            vec![-1.5, 0.7, 0.3],
-        ];
-        let batch = net.predict_proba_batch(&xs);
-        assert_eq!(batch.len(), 3);
-        for (x, p) in xs.iter().zip(&batch) {
-            assert_eq!(*p, net.predict_proba(x), "batch diverged on {x:?}");
-        }
-        assert!(net.predict_proba_batch(&[]).is_empty());
     }
 
     #[test]

@@ -1,17 +1,16 @@
-//! Property tests pinning the lane-blocked kernels **bit-identical** to the
+//! Property tests pinning the blocked kernels **bit-identical** to the
 //! scalar implementations they replaced, on arbitrary shapes and values.
 //!
 //! The reference functions in this file are verbatim copies of the pre-PR-9
-//! loops (`Iterator::sum` dot, `acc = 0.0` matvec rows, per-row
-//! standardization, per-item MLP forward). If a kernel ever reassociates a
-//! reduction, these properties catch it on the first awkward mantissa.
+//! loops (`Iterator::sum` dot, `acc = 0.0` matvec rows). If a kernel ever
+//! reassociates a reduction, these properties catch it on the first awkward
+//! mantissa.
 //!
 //! The vendored proptest shim has no `prop_flat_map`, so shape-dependent
 //! inputs are sampled as max-size buffers plus independent dimensions, then
 //! sliced to `rows * cols` inside the test body.
 
-use certa_ml::dataset::Standardizer;
-use certa_ml::{kernels, FeatureBatch, Mlp, MlpConfig};
+use certa_ml::kernels;
 use proptest::prelude::*;
 use proptest::strategy::Strategy;
 use proptest::test_runner::TestRng;
@@ -67,11 +66,6 @@ fn assert_bits_eq(a: &[f64], b: &[f64]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Truncate row-major feature rows to a sampled width.
-fn clip_rows(rows: &[Vec<f64>], dim: usize) -> Vec<Vec<f64>> {
-    rows.iter().map(|r| r[..dim].to_vec()).collect()
-}
-
 proptest! {
     #[test]
     fn dot_bit_identical_to_scalar(
@@ -95,83 +89,5 @@ proptest! {
         let mut y = Vec::new();
         kernels::matvec_into(w, rows, cols, x, &mut y);
         assert_bits_eq(&y, &matvec_ref(w, rows, cols, x))?;
-    }
-
-    #[test]
-    fn matmul_columns_bit_identical_to_matvec(
-        rows in 0usize..8,
-        cols in 0usize..20,
-        len in 0usize..22,
-        raw_w in proptest::collection::vec(Val, 8 * 20),
-        raw_x in proptest::collection::vec(Val, 20 * 22),
-    ) {
-        let w = &raw_w[..rows * cols];
-        let x = &raw_x[..cols * len];
-        let mut y = Vec::new();
-        kernels::matmul_soa(w, rows, cols, x, len, &mut y);
-        prop_assert_eq!(y.len(), rows * len);
-        for j in 0..len {
-            let item: Vec<f64> = (0..cols).map(|k| x[k * len + j]).collect();
-            let expect = matvec_ref(w, rows, cols, &item);
-            let got: Vec<f64> = (0..rows).map(|r| y[r * len + j]).collect();
-            assert_bits_eq(&got, &expect)?;
-        }
-    }
-
-    #[test]
-    fn feature_batch_round_trips_rows_exactly(
-        dim in 1usize..13,
-        raw_rows in proptest::collection::vec(proptest::collection::vec(Val, 13), 0..18),
-    ) {
-        let rows = clip_rows(&raw_rows, dim);
-        let batch = FeatureBatch::from_rows(dim, &rows);
-        prop_assert_eq!(batch.len(), rows.len());
-        prop_assert_eq!(batch.dim(), dim);
-        for (j, row) in rows.iter().enumerate() {
-            assert_bits_eq(&batch.item(j), row)?;
-        }
-    }
-
-    #[test]
-    fn soa_standardization_bit_identical_to_per_row(
-        dim in 1usize..11,
-        raw_rows in proptest::collection::vec(proptest::collection::vec(Val, 11), 0..14),
-        raw_mean in proptest::collection::vec(Val, 11),
-        raw_std in proptest::collection::vec(0.1f64..50.0, 11),
-    ) {
-        let rows = clip_rows(&raw_rows, dim);
-        let st = Standardizer::from_parts(raw_mean[..dim].to_vec(), raw_std[..dim].to_vec());
-        let mut batch = FeatureBatch::from_rows(dim, &rows);
-        st.apply_soa(&mut batch);
-        for (j, row) in rows.iter().enumerate() {
-            let mut expect = row.clone();
-            st.apply(&mut expect);
-            assert_bits_eq(&batch.item(j), &expect)?;
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
-
-    /// The end-to-end layer sweep: a batched SoA forward pass through an
-    /// arbitrary-width network produces exactly the per-item forward pass.
-    #[test]
-    fn mlp_soa_forward_bit_identical_to_per_item(
-        input_dim in 1usize..10,
-        hidden in proptest::collection::vec(1usize..11, 0..3),
-        seed in 0u64..1000,
-        raw_xs in proptest::collection::vec(proptest::collection::vec(Val, 10), 0..20),
-    ) {
-        let xs = clip_rows(&raw_xs, input_dim);
-        let cfg = MlpConfig { hidden, seed, ..MlpConfig::default() };
-        let net = Mlp::new(input_dim, &cfg);
-        let batch = net.predict_proba_soa(&FeatureBatch::from_rows(input_dim, &xs));
-        prop_assert_eq!(batch.len(), xs.len());
-        for (x, p) in xs.iter().zip(batch.iter()) {
-            prop_assert_eq!(p.to_bits(), net.predict_proba(x).to_bits());
-        }
-        // And the Vec<Vec<f64>> wrapper routes through the same kernel.
-        assert_bits_eq(&net.predict_proba_batch(&xs), &batch)?;
     }
 }

@@ -17,10 +17,9 @@
 //! score — which gives a strict **at-most-once** guarantee: when several
 //! threads race on the same cold pair, exactly one computes the score while
 //! the rest block on that cell (no thundering-herd double-scoring), and
-//! threads working on other pairs are never blocked at all. The batch path
-//! locks its miss cells in sorted key order (deadlock-free total order),
-//! scores all misses through one `inner.score_batch` call, then publishes —
-//! so the inner model sees each distinct pair at most once there too, and
+//! threads working on other pairs are never blocked at all. Batches take
+//! the trait's per-pair `score_batch` loop, so no path ever holds two cells
+//! at once, the inner model sees each distinct pair at most once, and
 //! [`CountingMatcher`] counts stay exact under arbitrary interleavings.
 //!
 //! [`Certa::explain_batch`]: https://docs.rs/certa-explain
@@ -45,11 +44,11 @@ type Cell = Arc<Mutex<Option<f64>>>;
 
 /// Cache effectiveness counters, cumulative since construction.
 ///
-/// `hits` counts requested scores served without reaching the inner model
-/// (warm cells, plus within-batch duplicates of a cold pair); `misses`
-/// counts actual inner-model invocations. `clear` drops the cached scores
-/// but keeps the counters — they describe lifetime traffic, which is what
-/// the serving layer's `/metrics` endpoint reports.
+/// `hits` counts requested scores served from a warm cell without reaching
+/// the inner model (a repeat of a cold pair later in the same batch is
+/// one); `misses` counts actual inner-model invocations. `clear` drops the
+/// cached scores but keeps the counters — they describe lifetime traffic,
+/// which is what the serving layer's `/metrics` endpoint reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Scores served from warm cells (no inner call).
@@ -114,8 +113,7 @@ impl CachingMatcher {
         self as *const CachingMatcher as usize
     }
 
-    /// Total order on cells for [`lockcheck`]: tuple order of the key,
-    /// exactly the order `score_batch` locks its miss cells in.
+    /// Order key of a cell for [`lockcheck`]: tuple order of the pair key.
     fn cell_order(key: Key) -> u128 {
         ((key.0 as u128) << 64) | key.1 as u128
     }
@@ -228,65 +226,6 @@ impl Matcher for CachingMatcher {
         self.misses.fetch_add(1, Ordering::Relaxed);
         s
     }
-
-    fn score_batch(&self, pairs: &[(&Record, &Record)]) -> Vec<f64> {
-        // Dedup to distinct keys, then lock the distinct cells in sorted key
-        // order — a global acquisition order, so concurrent batches (and
-        // per-pair `score` calls, which lock a single cell) cannot deadlock.
-        let keys: Vec<Key> = pairs
-            .iter()
-            .map(|(u, v)| (u.content_hash(), v.content_hash()))
-            .collect();
-        let mut distinct: Vec<(Key, usize)> = {
-            let mut seen: FxHashMap<Key, usize> = FxHashMap::default();
-            for (i, &k) in keys.iter().enumerate() {
-                seen.entry(k).or_insert(i);
-            }
-            seen.into_iter().collect()
-        };
-        distinct.sort_unstable_by_key(|&(k, _)| k);
-
-        let cells: Vec<(Key, usize, Cell)> = distinct
-            .iter()
-            .map(|&(k, i)| (k, i, self.cell(k)))
-            .collect();
-        let mut resolved: FxHashMap<Key, f64> = FxHashMap::default();
-        // Guards for cold cells stay held (keeping the at-most-once claim)
-        // until their scores are published below.
-        let mut miss_guards = Vec::new();
-        let mut miss_pairs = Vec::new();
-        for (key, first_idx, cell) in &cells {
-            let held =
-                lockcheck::acquire(self.owner(), lockcheck::rank::CELL, Self::cell_order(*key));
-            let guard = cell.lock();
-            match *guard {
-                Some(s) => {
-                    resolved.insert(*key, s);
-                }
-                None => {
-                    miss_pairs.push(pairs[*first_idx]);
-                    miss_guards.push((*key, guard, held));
-                }
-            }
-        }
-        // Hit/miss accounting matches the single-pair path: every requested
-        // score that avoided an inner invocation (warm cell or within-batch
-        // duplicate of a cold pair) is a hit.
-        self.misses
-            .fetch_add(miss_pairs.len() as u64, Ordering::Relaxed);
-        self.hits
-            .fetch_add((pairs.len() - miss_pairs.len()) as u64, Ordering::Relaxed);
-        if !miss_pairs.is_empty() {
-            // One vectorized inner call for every cold pair of this batch.
-            let scores = self.inner.score_batch(&miss_pairs);
-            debug_assert_eq!(scores.len(), miss_pairs.len());
-            for ((key, mut guard, _held), s) in miss_guards.into_iter().zip(scores) {
-                *guard = Some(s);
-                resolved.insert(key, s);
-            }
-        }
-        keys.iter().map(|k| resolved[k]).collect()
-    }
 }
 
 /// Counts every `score` call that reaches the wrapped matcher.
@@ -323,12 +262,6 @@ impl Matcher for CountingMatcher {
     fn score(&self, u: &Record, v: &Record) -> f64 {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.inner.score(u, v)
-    }
-
-    fn score_batch(&self, pairs: &[(&Record, &Record)]) -> Vec<f64> {
-        // Every batched pair is one model invocation, same as `score`.
-        self.count.fetch_add(pairs.len() as u64, Ordering::Relaxed);
-        self.inner.score_batch(pairs)
     }
 }
 

@@ -103,12 +103,6 @@ impl Matcher for RuleMatcher {
         // Smooth, strictly-monotone squash of similarity around the threshold.
         1.0 / (1.0 + (-self.sharpness * (sim - self.threshold)).exp())
     }
-
-    fn score_batch(&self, pairs: &[(&Record, &Record)]) -> Vec<f64> {
-        // Stateless per-pair arithmetic: the batch contract is a fused loop
-        // (no repeated virtual dispatch), value-identical to `score`.
-        pairs.iter().map(|(u, v)| self.score(u, v)).collect()
-    }
 }
 
 #[cfg(test)]

@@ -160,21 +160,6 @@ impl Matcher for ErModel {
         self.standardizer.apply(&mut feats);
         self.net.predict_proba(&feats)
     }
-
-    fn score_batch(&self, pairs: &[(&Record, &Record)]) -> Vec<f64> {
-        // Vectorized path: scatter per-pair features into one contiguous
-        // feature-major batch, standardize each feature as one sweep, then
-        // one layer-swept SoA forward pass. Featurization, standardization,
-        // and the matmul kernel all preserve the per-item operation order,
-        // so results are bit-identical to per-pair `score`.
-        let memo = self.memo.as_deref();
-        let mut batch = certa_ml::FeatureBatch::zeros(self.standardizer.dim(), pairs.len());
-        for (j, (u, v)) in pairs.iter().enumerate() {
-            batch.set_item(j, &self.featurizer.features_with(u, v, memo));
-        }
-        self.standardizer.apply_soa(&mut batch);
-        self.net.predict_proba_soa(&batch)
-    }
 }
 
 /// Quality report from [`train_model`].

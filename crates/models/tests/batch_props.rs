@@ -1,7 +1,7 @@
-//! Property tests pinning the SoA batch scoring path: `score_batch`
-//! (contiguous feature-major featurize → one-sweep standardize → SoA
-//! forward pass) must be **bit-for-bit identical** to scoring each pair
-//! alone through `score`, on arbitrary record contents and batch sizes.
+//! Property tests pinning batch scoring through real trained models:
+//! `score_batch` (the trait's per-pair loop) must be **bit-for-bit
+//! identical** to scoring each pair alone through `score`, on arbitrary
+//! record contents and batch sizes, repeated records included.
 
 use certa_core::{Matcher, Record, RecordId};
 use certa_datagen::{generate, DatasetId, Scale};

@@ -3,7 +3,7 @@
 //! | Method | Path                | Handler                                   |
 //! |--------|---------------------|-------------------------------------------|
 //! | POST   | `/v1/score`         | score one pair                            |
-//! | POST   | `/v1/score_batch`   | score many pairs (vectorized + cached)    |
+//! | POST   | `/v1/score_batch`   | score many pairs, each through the cache  |
 //! | POST   | `/v1/explain`       | CERTA explanation for one pair            |
 //! | POST   | `/v1/explain_batch` | [`Certa::explain_batch`] over many pairs  |
 //! | POST   | `/v1/block`         | block → score → explain over the tables   |
