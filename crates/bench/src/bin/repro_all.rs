@@ -2,7 +2,9 @@
 //! all twelve datasets once, print the matcher quality they reach, then
 //! render every artifact of [`certa_bench::artifacts::PAPER_ORDER`] under a
 //! `## <title>` heading. Each section equals the stdout of that artifact's
-//! own binary after its banner.
+//! own binary after its banner. Timings go to stderr, so stdout is a pure
+//! function of the flags: `tests/fixtures/repro_all_default.txt` is its
+//! stdout at `--scale default`, which CI diffs against a fresh run.
 //!
 //! ```text
 //! cargo run --release -p certa-bench --bin repro_all -- --scale default
@@ -47,5 +49,5 @@ fn main() {
         print!("{}", artifact.render(&run));
         eprintln!("[{:?}] {} done", t0.elapsed(), artifact.title);
     }
-    println!("all artifacts regenerated in {:?}", t0.elapsed());
+    eprintln!("all artifacts regenerated in {:?}", t0.elapsed());
 }

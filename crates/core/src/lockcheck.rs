@@ -10,10 +10,13 @@
 //! acquisition discipline:
 //!
 //! - within one owner, locks are acquired in strictly increasing
-//!   `(rank, key)` order — shards are rank 0, per-pair cells rank 1, so
-//!   shard→cell is legal, cell→shard (the deadlock shape) is not, and
-//!   same-rank acquisitions must walk keys upward (no path holds two
-//!   cells today; the rule keeps any future one deadlock-free);
+//!   `(rank, key)` order — coarse ranks before finer ones, and same-rank
+//!   acquisitions walking keys upward, which keeps any nesting
+//!   deadlock-free. Every tracked lock today is shard-rank: the caches'
+//!   shard maps and the registry's maps. The score cache's per-pair cells
+//!   are `OnceLock`s rather than locks: a hit reads one under its shard's
+//!   read lock, a miss resolves one after releasing the shard, so they take
+//!   no rank;
 //! - an owner can require that *nothing* of its own is held at a point
 //!   (the registry materializes models outside its map lock).
 //!
@@ -23,12 +26,10 @@
 //! In release builds everything compiles to nothing: [`Held`] is a
 //! zero-sized token and the tracking code is `#[cfg(debug_assertions)]`.
 
-/// Acquisition rank within an owner: coarse locks first, leaves last.
+/// Acquisition rank within an owner: coarse locks first, finer ones after.
 pub mod rank {
-    /// Shard maps (and the serve registry's entry map).
+    /// Shard maps (and the serve registry's maps).
     pub const SHARD: u8 = 0;
-    /// Per-key leaf locks (the score cache's per-pair cells).
-    pub const CELL: u8 = 1;
 }
 
 #[cfg(debug_assertions)]
@@ -132,13 +133,17 @@ pub fn assert_none_held(owner: usize, context: &str) {
 mod tests {
     use super::*;
 
+    /// A finer rank than shards, as a per-key lock nested under a shard
+    /// would take.
+    const LEAF: u8 = rank::SHARD + 1;
+
     #[test]
     fn upward_walk_is_legal() {
         let owner = 0x1000;
         let _s = acquire(owner, rank::SHARD, 3);
-        let _c1 = acquire(owner, rank::CELL, 1);
+        let _c1 = acquire(owner, LEAF, 1);
         drop(_c1);
-        let _c2 = acquire(owner, rank::CELL, 2);
+        let _c2 = acquire(owner, LEAF, 2);
     }
 
     #[test]
@@ -153,16 +158,16 @@ mod tests {
 
     #[test]
     fn distinct_owners_do_not_interact() {
-        let _a = acquire(0x3000, rank::CELL, 7);
+        let _a = acquire(0x3000, LEAF, 7);
         let _b = acquire(0x4000, rank::SHARD, 1);
     }
 
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "lock-order violation")]
-    fn cell_then_shard_panics() {
+    fn leaf_then_shard_panics() {
         let owner = 0x5000;
-        let _c = acquire(owner, rank::CELL, 7);
+        let _c = acquire(owner, LEAF, 7);
         let _s = acquire(owner, rank::SHARD, 0);
     }
 
@@ -171,8 +176,8 @@ mod tests {
     #[should_panic(expected = "lock-order violation")]
     fn same_rank_downward_panics() {
         let owner = 0x6000;
-        let _a = acquire(owner, rank::CELL, 9);
-        let _b = acquire(owner, rank::CELL, 2);
+        let _a = acquire(owner, rank::SHARD, 9);
+        let _b = acquire(owner, rank::SHARD, 2);
     }
 
     #[cfg(debug_assertions)]

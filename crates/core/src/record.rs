@@ -3,9 +3,10 @@
 //! Since the copy-on-write refactor a record is a vector of [`AttrValue`]
 //! handles rather than owned `String`s: cloning a record, replacing an
 //! attribute, and building a perturbed copy ([`Record::with_values_from`],
-//! [`Record::with_values_merged`]) are all O(arity) reference-count bumps
-//! with **zero string allocation**, and [`Record::content_hash`] folds the
-//! per-value hashes cached at intern time instead of re-hashing every byte.
+//! [`Record::with_values_merged`], or [`Record::set_values_merged`] in
+//! place) are all O(arity) reference-count bumps with **zero string
+//! allocation**, and [`Record::content_hash`] folds the per-value hashes
+//! cached at intern time instead of re-hashing every byte.
 
 use crate::hash::FxHasher;
 use crate::schema::{AttrId, Schema};
@@ -114,31 +115,47 @@ impl Record {
 
     /// A copy taking attribute `i`'s value from `donor` wherever
     /// `take_donor(i)` holds, and from `self` otherwise — ψ driven directly
-    /// by a mask predicate, in one O(arity) pass of handle clones.
+    /// by a mask predicate: [`Record::set_values_merged`] on a clone.
     pub fn with_values_merged(&self, donor: &Record, take_donor: impl Fn(usize) -> bool) -> Record {
-        // Hard assert: a silent zip-truncation on mismatched schemas would
-        // poison content hashes downstream (the old path panicked too, via
-        // out-of-range indexing).
+        let mut copy = self.clone();
+        copy.set_values_merged(self, donor, take_donor);
+        copy
+    }
+
+    /// Overwrite this record in place with the merge of `base` and `donor`:
+    /// `base`'s id, and attribute `i` from `donor` wherever `take_donor(i)`
+    /// holds, from `base` otherwise. A slot that already holds the chosen
+    /// handle is left alone, so walking one scratch record through a
+    /// sequence of masks touches only the attributes that change between
+    /// them, with no allocation.
+    pub fn set_values_merged(
+        &mut self,
+        base: &Record,
+        donor: &Record,
+        take_donor: impl Fn(usize) -> bool,
+    ) {
+        // Hard asserts: merging across mismatched schemas would silently
+        // misplace values and poison content hashes downstream.
         assert_eq!(
-            self.arity(),
+            base.arity(),
             donor.arity(),
             "merged records must share a schema"
         );
-        Record {
-            id: self.id,
-            values: self
-                .values
-                .iter()
-                .zip(donor.values.iter())
-                .enumerate()
-                .map(|(i, (own, theirs))| {
-                    if take_donor(i) {
-                        theirs.clone()
-                    } else {
-                        own.clone()
-                    }
-                })
-                .collect(),
+        assert_eq!(
+            self.arity(),
+            base.arity(),
+            "merged records must share a schema"
+        );
+        self.id = base.id;
+        for (i, slot) in self.values.iter_mut().enumerate() {
+            let chosen = if take_donor(i) {
+                &donor.values[i]
+            } else {
+                &base.values[i]
+            };
+            if !AttrValue::ptr_eq(slot, chosen) {
+                *slot = chosen.clone();
+            }
         }
     }
 
@@ -245,6 +262,21 @@ mod tests {
         let listed = r.with_values_from(&donor, &[AttrId(0), AttrId(2)]);
         assert_eq!(merged, listed);
         assert_eq!(merged.id(), r.id());
+    }
+
+    #[test]
+    fn set_values_merged_overwrites_any_prior_state() {
+        let r = rec();
+        let donor = Record::new(RecordId(9), vec!["d0".into(), "d1".into(), "d2".into()]);
+        let mut scratch = donor.clone();
+        for mask in [0b101usize, 0b010, 0b111, 0b000, 0b011] {
+            scratch.set_values_merged(&r, &donor, |i| mask & (1 << i) != 0);
+            assert_eq!(
+                scratch,
+                r.with_values_merged(&donor, |i| mask & (1 << i) != 0)
+            );
+            assert_eq!(scratch.id(), r.id());
+        }
     }
 
     #[test]

@@ -13,7 +13,11 @@
 //!   cached on the shared allocation;
 //! * every distinct value carries a stable [`ValueId`], which downstream
 //!   layers (the `certa-models` featurizer memo) use as a compact memoization
-//!   key for per-value and per-value-pair feature artifacts.
+//!   key for per-value and per-value-pair feature artifacts;
+//! * the §3.3 augmentation variants of a value ([`AttrValue::drop_first_k`],
+//!   [`AttrValue::drop_last_k`]) are interned the first time each is asked
+//!   for and cached on the value, so explaining the same records again
+//!   re-uses handles instead of rebuilding and re-interning strings.
 //!
 //! # `ValueId` stability rules
 //!
@@ -25,14 +29,15 @@
 //!   Ids are never reused and interned values are never freed, so a memo
 //!   entry keyed by `ValueId` stays valid for the process lifetime.
 //! * The interner grows monotonically. Its population is bounded by the
-//!   distinct attribute strings ever constructed (dataset values plus
-//!   augmentation variants); perturbation itself creates **no** new values —
-//!   ψ only re-combines existing handles. Services that intern **untrusted**
-//!   strings (e.g. `certa-serve` accepting inline records) should treat the
-//!   interner as append-only state: per-request growth is bounded by the
-//!   request-size limit, but adversarial traffic with ever-novel values
-//!   accumulates — front such deployments with quotas, exactly as for the
-//!   equally append-only score cache.
+//!   distinct attribute strings ever constructed (dataset values plus the
+//!   augmentation variants actually requested — variants are interned
+//!   lazily, one `(k, end)` pair at a time); perturbation itself creates
+//!   **no** new values — ψ only re-combines existing handles. Services that
+//!   intern **untrusted** strings (e.g. `certa-serve` accepting inline
+//!   records) should treat the interner as append-only state: per-request
+//!   growth is bounded by the request-size limit, but adversarial traffic
+//!   with ever-novel values accumulates — front such deployments with
+//!   quotas, exactly as for the equally append-only score cache.
 //!
 //! # Determinism contract
 //!
@@ -82,6 +87,12 @@ struct ValueData {
     cleaned: Box<str>,
     /// Whitespace token spans into `cleaned`.
     clean_tokens: Box<[Span]>,
+    /// §3.3 token-drop variants, one slot per `(k, end)` for
+    /// `1 <= k < token count`, at `2 * (k - 1) + end`. The slot array
+    /// (16 bytes a slot) is allocated on the first request, so only values
+    /// augmentation touches pay for it, and each slot is interned on its
+    /// own.
+    variants: OnceLock<Box<[OnceLock<AttrValue>]>>,
 }
 
 fn token_spans(s: &str) -> Box<[Span]> {
@@ -113,6 +124,7 @@ impl ValueData {
             raw_tokens,
             clean_tokens,
             cleaned,
+            variants: OnceLock::new(),
         }
     }
 }
@@ -311,6 +323,44 @@ impl AttrValue {
     /// the case for equal content produced through [`AttrValue::intern`]).
     pub fn ptr_eq(a: &AttrValue, b: &AttrValue) -> bool {
         Arc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// This value with its first `k` tokens dropped: the interned
+    /// [`tokens::drop_first_k`], `None` under the same bounds. Built and
+    /// interned on the first request for this `k`, then served from a
+    /// cache on this value.
+    pub fn drop_first_k(&self, k: usize) -> Option<&AttrValue> {
+        self.variant(k, 0, tokens::drop_first_k)
+    }
+
+    /// This value with its last `k` tokens dropped: the interned
+    /// [`tokens::drop_last_k`], cached like [`AttrValue::drop_first_k`].
+    pub fn drop_last_k(&self, k: usize) -> Option<&AttrValue> {
+        self.variant(k, 1, tokens::drop_last_k)
+    }
+
+    fn variant(
+        &self,
+        k: usize,
+        end: usize,
+        drop: fn(&str, usize) -> Option<String>,
+    ) -> Option<&AttrValue> {
+        let n = self.token_count();
+        if k == 0 || k >= n {
+            return None;
+        }
+        let slots = self
+            .0
+            .variants
+            .get_or_init(|| (0..2 * (n - 1)).map(|_| OnceLock::new()).collect());
+        let slot = &slots[2 * (k - 1) + end];
+        if let Some(v) = slot.get() {
+            return Some(v);
+        }
+        // Racing first requests may each build the string; interning makes
+        // them agree on one handle, and the slot keeps the first stored.
+        let v = AttrValue::from(drop(self.as_str(), k)?);
+        Some(slot.get_or_init(|| v))
     }
 }
 

@@ -4,12 +4,17 @@
 //! content-keyed bijection.
 
 use certa_core::hash::fx_hash_one;
+use certa_core::tokens::{drop_first_k, drop_last_k};
 use certa_core::{AttrId, AttrValue, Record, RecordId};
 use proptest::prelude::*;
 
 /// Attribute-value alphabet: letters, digits, punctuation the cleaner folds,
 /// and spaces (so blanks / missing cells are generated too).
 const VALUE: &str = "[a-zA-Z0-9 ,.!]{0,20}";
+
+/// Short tokens between runs of spaces and tabs: many tokens per value, with
+/// repeated, leading and trailing whitespace.
+const SPACED: &str = "[ \ta-c]{0,24}";
 
 proptest! {
     /// (a) `content_hash` is identical between the old string-built
@@ -89,6 +94,26 @@ proptest! {
             let a = AttrId(i as u16);
             prop_assert!(AttrValue::ptr_eq(r.attr_value(a), copy.attr_value(a)));
             prop_assert!(AttrValue::ptr_eq(r.attr_value(a), merged.attr_value(a)));
+        }
+    }
+
+    /// Every cached §3.3 variant is the interned string drop, for every
+    /// `k` from 0 past the token count (the `None` cases included), and a
+    /// repeated request returns the cached handle.
+    #[test]
+    fn cached_variants_equal_the_string_drops(s in SPACED) {
+        let v = AttrValue::intern(&s);
+        for k in 0..v.token_count() + 2 {
+            prop_assert_eq!(v.drop_first_k(k).cloned(), drop_first_k(&s, k).map(AttrValue::from));
+            prop_assert_eq!(v.drop_last_k(k).cloned(), drop_last_k(&s, k).map(AttrValue::from));
+            for (first, again) in [
+                (v.drop_first_k(k), v.drop_first_k(k)),
+                (v.drop_last_k(k), v.drop_last_k(k)),
+            ] {
+                if let (Some(first), Some(again)) = (first, again) {
+                    prop_assert!(AttrValue::ptr_eq(first, again));
+                }
+            }
         }
     }
 }

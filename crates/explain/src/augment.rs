@@ -7,8 +7,11 @@
 //! n − 1." Each candidate still has to pass the support test
 //! `M(⟨w', v⟩) = ȳ` before becoming a triangle.
 
-use certa_core::tokens::{drop_first_k, drop_last_k, token_count};
-use certa_core::{AttrId, Record};
+use certa_core::{AttrId, AttrValue, Record};
+
+/// The two §3.3 token drops, first-k then last-k, in candidate order.
+const DROPS: [fn(&AttrValue, usize) -> Option<&AttrValue>; 2] =
+    [AttrValue::drop_first_k, AttrValue::drop_last_k];
 
 /// Enumerate augmented variants of `record`, most conservative first
 /// (single-attribute, small `k`), up to `budget` variants.
@@ -16,6 +19,9 @@ use certa_core::{AttrId, Record};
 /// The full combinatorial set of the paper is exponential; candidates are
 /// ordered so that truncation keeps the most label-preserving variants:
 /// all single-attribute drops (k ascending), then pairwise-attribute drops.
+/// Each dropped value comes from the value's own variant cache
+/// ([`AttrValue::drop_first_k`]), and is interned only when a candidate
+/// uses it.
 pub fn augmented_candidates(record: &Record, budget: usize) -> Vec<Record> {
     let mut out = Vec::new();
     if budget == 0 {
@@ -27,20 +33,18 @@ pub fn augmented_candidates(record: &Record, budget: usize) -> Vec<Record> {
     let max_tokens = record
         .values()
         .iter()
-        .map(|v| token_count(v))
+        .map(AttrValue::token_count)
         .max()
         .unwrap_or(0);
     for k in 1..max_tokens.max(1) {
         for a in 0..arity {
             let attr = AttrId(a as u16);
-            let value = record.value(attr);
-            for new_value in [drop_first_k(value, k), drop_last_k(value, k)]
-                .into_iter()
-                .flatten()
-            {
-                out.push(record.with_value(attr, new_value));
-                if out.len() >= budget {
-                    return out;
+            for drop in DROPS {
+                if let Some(new_value) = drop(record.attr_value(attr), k) {
+                    out.push(record.with_value(attr, new_value));
+                    if out.len() >= budget {
+                        return out;
+                    }
                 }
             }
         }
@@ -50,17 +54,11 @@ pub fn augmented_candidates(record: &Record, budget: usize) -> Vec<Record> {
     for a in 0..arity {
         for b in (a + 1)..arity {
             let (ia, ib) = (AttrId(a as u16), AttrId(b as u16));
-            for (fa, fb) in [
-                (
-                    drop_first_k(record.value(ia), 1),
-                    drop_first_k(record.value(ib), 1),
-                ),
-                (
-                    drop_last_k(record.value(ia), 1),
-                    drop_last_k(record.value(ib), 1),
-                ),
-            ] {
-                if let (Some(va), Some(vb)) = (fa, fb) {
+            for drop in DROPS {
+                if let (Some(va), Some(vb)) = (
+                    drop(record.attr_value(ia), 1),
+                    drop(record.attr_value(ib), 1),
+                ) {
                     let mut r = record.with_value(ia, va);
                     r.set_value(ib, vb);
                     out.push(r);

@@ -7,7 +7,7 @@ use crate::explanation::{
     SaliencyExplainer, SaliencyExplanation,
 };
 use crate::lattice::{explore, mask_attrs, ExploreMode, LatticeStats};
-use crate::perturb::perturb;
+use crate::perturb::{perturb, perturb_into};
 use crate::saliency::NecessityCounter;
 use crate::triangles::{find_triangles, OpenTriangle, TriangleStats};
 use certa_core::{AttrId, Dataset, MatchLabel, Matcher, Prediction, Record, Side};
@@ -170,11 +170,13 @@ impl Certa {
         // Degenerate single-attribute schemas have only the full set — test
         // it regardless of footnote 2 or nothing would ever be explored.
         let test_full = self.config.test_full_set || arity == 1;
+        // One scratch ψ per triangle, rewritten in place at every node.
+        let mut psi = free.clone();
         explore(arity, mode, test_full, |mask| {
-            let perturbed = perturb(free, &t.support, mask);
+            perturb_into(&mut psi, free, &t.support, mask);
             let score = match t.side {
-                Side::Left => matcher.score(&perturbed, v),
-                Side::Right => matcher.score(u, &perturbed),
+                Side::Left => matcher.score(&psi, v),
+                Side::Right => matcher.score(u, &psi),
             };
             MatchLabel::from_score(score) != y
         })

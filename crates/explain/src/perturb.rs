@@ -9,23 +9,33 @@ use crate::lattice::AttrMask;
 use certa_core::Record;
 
 /// Apply ψ: copy the attributes selected by `mask` from `support` into a
-/// fresh copy of `free`.
+/// fresh copy of `free` — [`perturb_into`] on a clone of `free`.
+pub fn perturb(free: &Record, support: &Record, mask: AttrMask) -> Record {
+    let mut psi = free.clone();
+    perturb_into(&mut psi, free, support, mask);
+    psi
+}
+
+/// Write ψ(`free`, `support`, `mask`) into `psi` in place, whatever `psi`
+/// held before (it must share the schema).
 ///
-/// Since the copy-on-write refactor this is a **masked view**: one O(arity)
-/// pass that picks each attribute's interned handle from `free` or `support`
-/// directly off the mask bits — no `Vec<AttrId>` materialization and zero
+/// One O(arity) pass picks each attribute's interned handle from `free` or
+/// `support` directly off the mask bits and leaves a slot alone when it
+/// already holds that handle — no `Vec<AttrId>` materialization and zero
 /// string allocation (ψ never creates new values, it only re-combines
 /// existing handles, so the score cache and featurizer memo see stable
-/// content hashes / `ValueId`s).
-pub fn perturb(free: &Record, support: &Record, mask: AttrMask) -> Record {
+/// content hashes / `ValueId`s). The lattice walk reuses one `psi` per
+/// triangle, so a node costs only the handles that differ from the
+/// previous node's.
+pub fn perturb_into(psi: &mut Record, free: &Record, support: &Record, mask: AttrMask) {
     debug_assert_eq!(
         free.arity(),
         support.arity(),
         "ψ requires same-schema records"
     );
-    free.with_values_merged(support, |i| {
+    psi.set_values_merged(free, support, |i| {
         i < AttrMask::BITS as usize && mask & (1 << i) != 0
-    })
+    });
 }
 
 /// All perturbed copies `U_{w,a}` of Example 1: every subset containing

@@ -49,11 +49,6 @@ impl TriangleStats {
     }
 }
 
-/// Upper bound on candidates batched per `Matcher::score_batch` call during
-/// the natural scan; actual chunks also never exceed the remaining quota, so
-/// wasted post-quota scoring is bounded by the final (shrunken) chunk.
-const SCAN_CHUNK: usize = 32;
-
 /// Find up to τ open triangles (τ/2 per side) for the prediction
 /// `M(⟨u, v⟩) = y`.
 ///
@@ -96,45 +91,25 @@ pub fn find_triangles(
         let mut found_side = 0usize;
         let mut scanned: Vec<&Record> = Vec::new();
         if !cfg.augmentation_only {
-            // Candidates are scored in chunks through `Matcher::score_batch`.
-            // Chunks never exceed the *remaining* quota, so the
-            // overshoot past the last needed candidate is bounded by the
-            // shrinking chunk, not by `SCAN_CHUNK`. `candidates_scored`
-            // counts every pair actually sent to the model, including a
-            // final chunk's post-quota remainder.
-            let mut next = 0usize;
-            while next < order.len() && found_side < quota {
-                let chunk_len = (quota - found_side).min(SCAN_CHUNK).min(order.len() - next);
-                let chunk = &order[next..next + chunk_len];
-                next += chunk_len;
-                let candidates: Vec<&Record> = chunk
-                    .iter()
-                    .map(|&idx| &table.records()[idx])
-                    .filter(|w| w.id() != free.id())
-                    .collect();
-                if candidates.is_empty() {
+            // Score candidates one at a time until the side's quota is met;
+            // `candidates_scored` counts every pair sent to the model.
+            for w in order.iter().map(|&idx| &table.records()[idx]) {
+                if found_side >= quota {
+                    break;
+                }
+                if w.id() == free.id() {
                     continue;
                 }
-                let batch: Vec<(&Record, &Record)> = candidates
-                    .iter()
-                    .map(|&w| match side {
-                        Side::Left => (w, pivot),
-                        Side::Right => (pivot, w),
-                    })
-                    .collect();
-                let scores = matcher.score_batch(&batch);
-                for (&w, s) in candidates.iter().zip(scores) {
-                    scanned.push(w);
-                    stats.candidates_scored += 1;
-                    if found_side < quota && MatchLabel::from_score(s) == want {
-                        triangles.push(OpenTriangle {
-                            side,
-                            support: w.clone(),
-                            augmented: false,
-                        });
-                        stats.natural += 1;
-                        found_side += 1;
-                    }
+                scanned.push(w);
+                stats.candidates_scored += 1;
+                if score_support(w) == want {
+                    triangles.push(OpenTriangle {
+                        side,
+                        support: w.clone(),
+                        augmented: false,
+                    });
+                    stats.natural += 1;
+                    found_side += 1;
                 }
             }
         } else {

@@ -5,7 +5,7 @@
 
 use certa_core::{AttrId, AttrValue, Record, RecordId};
 use certa_explain::lattice::AttrMask;
-use certa_explain::perturb::perturb;
+use certa_explain::perturb::{perturb, perturb_into};
 use proptest::prelude::*;
 
 /// The pre-refactor ψ, reconstructed over plain strings: the semantics the
@@ -92,5 +92,42 @@ proptest! {
         let listed = free.with_values_from(&support, &attrs);
         let merged = perturb(&free, &support, mask);
         prop_assert_eq!(listed, merged);
+    }
+
+    /// In-place ψ over a random sequence of masks ≡ a fresh `perturb` for
+    /// every mask: the scratch record carries nothing over from the masks
+    /// before it, whatever it started as.
+    #[test]
+    fn in_place_perturb_matches_fresh_perturb(
+        free_values in proptest::collection::vec("[a-z0-9 ]{0,16}", 1..6),
+        masks in proptest::collection::vec(0u32..64, 1..24),
+        seed in 0u32..1000,
+    ) {
+        let arity = free_values.len();
+        let free = Record::new(RecordId(1), free_values);
+        let support = Record::new(
+            RecordId(2),
+            (0..arity)
+                .map(|i| {
+                    if (seed >> i) & 1 == 0 {
+                        free.value(AttrId(i as u16)).to_string()
+                    } else {
+                        format!("donor {seed} {i}")
+                    }
+                })
+                .collect(),
+        );
+        let mut psi = support.clone();
+        for &mask in &masks {
+            perturb_into(&mut psi, &free, &support, mask);
+            let fresh = perturb(&free, &support, mask);
+            prop_assert_eq!(&psi, &fresh);
+            prop_assert_eq!(psi.id(), free.id());
+            prop_assert_eq!(psi.content_hash(), fresh.content_hash());
+            for i in 0..arity {
+                let a = AttrId(i as u16);
+                prop_assert!(AttrValue::ptr_eq(psi.attr_value(a), fresh.attr_value(a)));
+            }
+        }
     }
 }

@@ -11,24 +11,32 @@
 //! ## Concurrency design
 //!
 //! The cache is **sharded**: keys are spread over [`SHARD_COUNT`] independent
-//! maps, each behind its own `parking_lot` lock, so concurrent explainers
-//! (e.g. [`Certa::explain_batch`] workers) never serialize on one global
-//! lock. Each key owns a *cell* — a tiny per-pair mutex around the memoized
-//! score — which gives a strict **at-most-once** guarantee: when several
-//! threads race on the same cold pair, exactly one computes the score while
-//! the rest block on that cell (no thundering-herd double-scoring), and
-//! threads working on other pairs are never blocked at all. Batches take
-//! the trait's per-pair `score_batch` loop, so no path ever holds two cells
-//! at once, the inner model sees each distinct pair at most once, and
-//! [`CountingMatcher`] counts stay exact under arbitrary interleavings.
+//! maps, each behind its own `parking_lot` read-write lock, so concurrent
+//! explainers (e.g. [`Certa::explain_batch`] workers) never serialize on one
+//! global lock. Each key owns a *cell*, a shared `OnceLock<f64>` that holds
+//! the memoized score once it is computed:
+//!
+//! - **Hits** read the score straight out of the cell under the shard's
+//!   read lock, and take no other lock and clone nothing.
+//! - **Misses** fetch or create the cell under the shard's write lock,
+//!   release the shard, and resolve the cell with `OnceLock::get_or_init`.
+//!   That is a strict **at-most-once** guarantee: when several threads race
+//!   on the same cold pair, exactly one computes the score while the rest
+//!   wait inside `get_or_init` (no thundering-herd double-scoring), and
+//!   threads working on other pairs are never blocked at all.
+//!
+//! No path holds a shard lock while a score is computed or holds two shard
+//! locks at once, so the inner model sees each distinct pair at most once
+//! and [`CountingMatcher`] counts stay exact under arbitrary interleavings.
+//! Batches take the trait's per-pair `score_batch` loop.
 //!
 //! [`Certa::explain_batch`]: https://docs.rs/certa-explain
 
 use certa_core::hash::FxHashMap;
 use certa_core::{lockcheck, BoxedMatcher, Matcher, Record};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Number of independent cache shards (power of two, so shard selection is a
 /// mask). 16 keeps lock contention negligible at explainer-level fan-out
@@ -38,9 +46,9 @@ pub const SHARD_COUNT: usize = 16;
 /// Cache key: content hashes of the two records (id-independent).
 type Key = (u64, u64);
 
-/// One memoized score slot. `None` = not computed yet; the mutex makes the
-/// compute-and-fill step atomic per pair.
-type Cell = Arc<Mutex<Option<f64>>>;
+/// One memoized score slot, empty until computed and then fixed. Shared so
+/// a miss can resolve it after releasing the shard lock.
+type Cell = Arc<OnceLock<f64>>;
 
 /// Cache effectiveness counters, cumulative since construction.
 ///
@@ -113,25 +121,22 @@ impl CachingMatcher {
         self as *const CachingMatcher as usize
     }
 
-    /// Order key of a cell for [`lockcheck`]: tuple order of the pair key.
-    fn cell_order(key: Key) -> u128 {
-        ((key.0 as u128) << 64) | key.1 as u128
+    /// The score already resolved for `key`, read under the shard's read
+    /// lock: the whole of a cache hit.
+    fn resolved(&self, key: Key) -> Option<f64> {
+        let idx = Self::shard_of(key);
+        let _held = lockcheck::acquire(self.owner(), lockcheck::rank::SHARD, idx as u128);
+        self.shards[idx].read().get(&key)?.get().copied()
     }
 
-    /// Fetch (or create) the cell for one key. Shard locks are held only for
-    /// the lookup/insert, never while a score is being computed.
+    /// Fetch (or create) the cell for one key under the shard's write lock
+    /// — the miss path, after [`CachingMatcher::resolved`] found no score.
+    /// Shard locks are held only for the lookup/insert, never while a score
+    /// is being computed.
     fn cell(&self, key: Key) -> Cell {
         let idx = Self::shard_of(key);
-        let shard = &self.shards[idx];
-        {
-            let _held = lockcheck::acquire(self.owner(), lockcheck::rank::SHARD, idx as u128);
-            if let Some(cell) = shard.read().get(&key) {
-                return Arc::clone(cell);
-            }
-        }
         let _held = lockcheck::acquire(self.owner(), lockcheck::rank::SHARD, idx as u128);
-        let mut map = shard.write();
-        Arc::clone(map.entry(key).or_default())
+        Arc::clone(self.shards[idx].write().entry(key).or_default())
     }
 
     /// Number of cached entries (cells created; a cell being computed right
@@ -167,22 +172,20 @@ impl CachingMatcher {
     /// by key — the deterministic snapshot `certa-store` persists. Content
     /// hashes are pure functions of record content, so a snapshot is valid
     /// in any process.
+    ///
+    /// A cell that another thread is still computing is left out rather
+    /// than waited for: its score is not part of this snapshot, and lands
+    /// in the next one.
     pub fn snapshot(&self) -> Vec<((u64, u64), f64)> {
         let mut out = Vec::new();
         for (i, shard) in self.shards.iter().enumerate() {
-            let _shard_held = lockcheck::acquire(self.owner(), lockcheck::rank::SHARD, i as u128);
-            let map = shard.read();
-            for (key, cell) in map.iter() {
-                let _cell_held =
-                    lockcheck::acquire(self.owner(), lockcheck::rank::CELL, Self::cell_order(*key));
-                // Briefly waits on cells another thread is mid-compute on
-                // (the vendored mutex has no try_lock); those resolve to a
-                // score momentarily, so the snapshot includes them.
-                // certa-lint: allow(lock-order) — shard→cell is the documented acquisition order (cells are leaves); lockcheck asserts it at runtime in debug builds
-                if let Some(score) = *cell.lock() {
-                    out.push((*key, score));
-                }
-            }
+            let _held = lockcheck::acquire(self.owner(), lockcheck::rank::SHARD, i as u128);
+            out.extend(
+                shard
+                    .read()
+                    .iter()
+                    .filter_map(|(&key, cell)| Some((key, *cell.get()?))),
+            );
         }
         out.sort_unstable_by_key(|&(k, _)| k);
         out
@@ -194,13 +197,8 @@ impl CachingMatcher {
     /// resolved score is left as-is.
     pub fn seed(&self, entries: impl IntoIterator<Item = ((u64, u64), f64)>) {
         for (key, score) in entries {
-            let cell = self.cell(key);
-            let _held =
-                lockcheck::acquire(self.owner(), lockcheck::rank::CELL, Self::cell_order(key));
-            let mut slot = cell.lock();
-            if slot.is_none() {
-                *slot = Some(score);
-            }
+            // `Err` means the key was already resolved, which wins.
+            let _ = self.cell(key).set(score);
         }
     }
 }
@@ -212,18 +210,20 @@ impl Matcher for CachingMatcher {
 
     fn score(&self, u: &Record, v: &Record) -> f64 {
         let key = (u.content_hash(), v.content_hash());
-        let cell = self.cell(key);
-        let _held = lockcheck::acquire(self.owner(), lockcheck::rank::CELL, Self::cell_order(key));
-        let mut slot = cell.lock();
-        if let Some(s) = *slot {
+        if let Some(s) = self.resolved(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return s;
         }
-        // First thread through computes while holding the cell (racers on
-        // this pair block here; other pairs proceed on their own cells).
-        let s = self.inner.score(u, v);
-        *slot = Some(s);
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        // The first thread into `get_or_init` computes (racers on this pair
+        // wait there and count as hits; other pairs proceed on their own
+        // cells).
+        let mut computed = false;
+        let s = *self.cell(key).get_or_init(|| {
+            computed = true;
+            self.inner.score(u, v)
+        });
+        let counter = if computed { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
         s
     }
 }
