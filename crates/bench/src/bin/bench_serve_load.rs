@@ -133,48 +133,15 @@ impl Client {
             .nth(1)
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| format!("{path}: bad status line in {head:?}"))?;
-        let body = if head
+        let len: usize = head
             .lines()
-            .any(|l| l.trim() == "transfer-encoding: chunked")
-        {
-            // De-chunk streamed responses: the payload bytes must be
-            // identical to the Content-Length framing of the same body.
-            let mut body = Vec::new();
-            loop {
-                let mut line = Vec::new();
-                while !line.ends_with(b"\r\n") {
-                    self.stream
-                        .read_exact(&mut byte)
-                        .map_err(|e| format!("read chunk size {path}: {e}"))?;
-                    line.push(byte[0]);
-                }
-                let size = std::str::from_utf8(&line)
-                    .ok()
-                    .and_then(|s| usize::from_str_radix(s.trim(), 16).ok())
-                    .ok_or_else(|| format!("{path}: bad chunk size line"))?;
-                let mut chunk = vec![0u8; size + 2];
-                self.stream
-                    .read_exact(&mut chunk)
-                    .map_err(|e| format!("read chunk {path}: {e}"))?;
-                if size == 0 {
-                    break;
-                }
-                chunk.truncate(size);
-                body.extend_from_slice(&chunk);
-            }
-            body
-        } else {
-            let len: usize = head
-                .lines()
-                .find_map(|l| l.strip_prefix("content-length:"))
-                .and_then(|v| v.trim().parse().ok())
-                .ok_or_else(|| format!("{path}: missing content-length"))?;
-            let mut body = vec![0u8; len];
-            self.stream
-                .read_exact(&mut body)
-                .map_err(|e| format!("read body {path}: {e}"))?;
-            body
-        };
+            .find_map(|l| l.strip_prefix("content-length:"))
+            .and_then(|v| v.trim().parse().ok())
+            .ok_or_else(|| format!("{path}: missing content-length"))?;
+        let mut body = vec![0u8; len];
+        self.stream
+            .read_exact(&mut body)
+            .map_err(|e| format!("read body {path}: {e}"))?;
         Ok((status, body))
     }
 }

@@ -20,9 +20,8 @@
 //! they own. Scheduling affects wall-clock time, never values. The property
 //! is enforced by a property test (`tests/batch_props.rs`).
 //!
-//! Workers explain their pairs with sequential triangle exploration
-//! (`triangle_workers = 1`): the pool already saturates the cores with whole
-//! pairs, and nesting a second fan-out per pair would oversubscribe them.
+//! The pair pool is the explainer's only fan-out: each worker runs
+//! [`Certa::explain`], which is sequential.
 
 use crate::certa::{Certa, CertaExplanation};
 use certa_core::{Dataset, LabeledPair, Matcher, Record};
@@ -32,8 +31,8 @@ use std::sync::OnceLock;
 /// Run `f(i)` for every `i in 0..len` on a work-stealing scoped-thread pool
 /// and return the results in index order. The single shared concurrency
 /// primitive of the workspace — `explain_batch` steals whole pairs through
-/// it, `explain` steals triangles and `certa_cluster` steals candidate
-/// chunks. `workers <= 1` (or `len <= 1`) runs inline with no threads.
+/// it and `certa_cluster` steals candidate chunks. `workers <= 1` (or
+/// `len <= 1`) runs inline with no threads.
 pub fn run_indexed<T: Send + Sync>(
     len: usize,
     workers: usize,
@@ -80,7 +79,7 @@ impl Certa {
     ) -> Vec<CertaExplanation> {
         run_indexed(pairs.len(), self.config().effective_workers(), |i| {
             let (u, v) = pairs[i];
-            self.explain_impl(matcher, dataset, u, v, 1)
+            self.explain(matcher, dataset, u, v)
         })
     }
 

@@ -6,7 +6,7 @@ use crate::explanation::{
     AttrRef, CounterfactualExample, CounterfactualExplainer, CounterfactualExplanation,
     SaliencyExplainer, SaliencyExplanation,
 };
-use crate::lattice::{explore, mask_attrs, ExploreMode, LatticeStats};
+use crate::lattice::{explore, mask_attrs, AttrMask, Exploration, ExploreMode, LatticeStats};
 use crate::perturb::{perturb, perturb_into};
 use crate::saliency::NecessityCounter;
 use crate::triangles::{find_triangles, OpenTriangle, TriangleStats};
@@ -52,13 +52,10 @@ impl Certa {
         &self.config
     }
 
-    /// Explain the prediction `M(⟨u, v⟩)` — Algorithm 1.
-    ///
-    /// When the machine has more than one core (and `config.workers` permits
-    /// it), the per-triangle lattice explorations run on a scoped worker
-    /// pool; triangles are independent, and the flip counters are merged in
-    /// triangle order afterwards, so the result is identical to a sequential
-    /// run.
+    /// Explain the prediction `M(⟨u, v⟩)` — Algorithm 1, sequentially: find
+    /// the open triangles (line 8), then run lines 9–33 over them in
+    /// triangle order. One explanation never spawns threads;
+    /// [`Certa::explain_batch`] fans whole pairs out.
     pub fn explain(
         &self,
         matcher: &dyn Matcher,
@@ -66,36 +63,36 @@ impl Certa {
         u: &Record,
         v: &Record,
     ) -> CertaExplanation {
-        self.explain_impl(matcher, dataset, u, v, self.config.effective_workers())
+        let prediction = matcher.prediction(u, v);
+        // Line 8: open triangles, τ/2 per side (with §3.3 augmentation).
+        let (triangles, triangle_stats) =
+            find_triangles(matcher, dataset, u, v, prediction.label, &self.config);
+        self.explain_with_triangles(matcher, u, v, prediction, &triangles, triangle_stats)
     }
 
-    /// Algorithm 1 with an explicit triangle-exploration worker count
-    /// (`explain_batch` workers pass 1 — the batch layer already saturates
-    /// the cores with whole pairs).
-    pub(crate) fn explain_impl(
+    /// Lines 9–33 of Algorithm 1 over a given triangle set: explore each
+    /// triangle's lattice in order, estimate Φ from the flips (Equation 1),
+    /// pick `A★` (Equations 2–3) and materialize `E`. `prediction` is
+    /// `M(⟨u, v⟩)`, the side arities are `u`'s and `v`'s, and
+    /// `triangle_stats` is carried into the result as is.
+    pub(crate) fn explain_with_triangles(
         &self,
         matcher: &dyn Matcher,
-        dataset: &Dataset,
         u: &Record,
         v: &Record,
-        triangle_workers: usize,
+        prediction: Prediction,
+        triangles: &[OpenTriangle],
+        triangle_stats: TriangleStats,
     ) -> CertaExplanation {
-        let prediction = matcher.prediction(u, v);
         let y = prediction.label;
-        let left_arity = dataset.left().schema().arity();
-        let right_arity = dataset.right().schema().arity();
+        let (left_arity, right_arity) = (u.arity(), v.arity());
 
-        // Line 8: open triangles, τ/2 per side (with §3.3 augmentation).
-        let (triangles, triangle_stats) = find_triangles(matcher, dataset, u, v, y, &self.config);
-
-        // Lines 9–17: explore one lattice per triangle (independent, so
-        // parallelizable), then merge flip counts in triangle order — the
-        // merge order, not the completion order, defines the output.
-        let explorations = self.explore_all(matcher, u, v, &triangles, y, triangle_workers);
+        // Lines 9–17: explore one lattice per triangle and count its flips.
         let mut necessity = NecessityCounter::new(left_arity, right_arity);
         let mut sufficiency = SufficiencyCounter::new();
         let mut lattice_stats = Vec::with_capacity(triangles.len());
-        for (t, exploration) in triangles.iter().zip(&explorations) {
+        for t in triangles {
+            let exploration = self.explore_triangle(matcher, u, v, t, y);
             sufficiency.record_triangle(t.side);
             lattice_stats.push(exploration.stats());
             for mask in exploration.flipped_masks() {
@@ -113,7 +110,7 @@ impl Certa {
         let counterfactual = match sufficiency.golden_set(left_arity, right_arity) {
             None => CounterfactualExplanation::default(),
             Some((side, mask, chi)) => {
-                self.materialize_examples(matcher, u, v, &triangles, y, side, mask, chi)
+                self.materialize_examples(matcher, u, v, triangles, y, side, mask, chi)
             }
         };
 
@@ -128,25 +125,6 @@ impl Certa {
         }
     }
 
-    /// Explore every triangle's lattice, in triangle order. With more than
-    /// one worker and more than one triangle, exploration is fanned out over
-    /// the engine's work-stealing pool ([`crate::batch::run_indexed`]); each
-    /// exploration is deterministic in isolation, so only wall-clock time
-    /// depends on the schedule.
-    fn explore_all(
-        &self,
-        matcher: &dyn Matcher,
-        u: &Record,
-        v: &Record,
-        triangles: &[OpenTriangle],
-        y: MatchLabel,
-        workers: usize,
-    ) -> Vec<crate::lattice::Exploration> {
-        crate::batch::run_indexed(triangles.len(), workers, |i| {
-            self.explore_triangle(matcher, u, v, &triangles[i], y)
-        })
-    }
-
     /// Explore one triangle's lattice, scoring perturbed copies through the
     /// black-box matcher.
     fn explore_triangle(
@@ -156,7 +134,7 @@ impl Certa {
         v: &Record,
         t: &OpenTriangle,
         y: MatchLabel,
-    ) -> crate::lattice::Exploration {
+    ) -> Exploration {
         let free = match t.side {
             Side::Left => u,
             Side::Right => v,
@@ -167,9 +145,9 @@ impl Certa {
         } else {
             ExploreMode::Exhaustive
         };
-        // Degenerate single-attribute schemas have only the full set — test
-        // it regardless of footnote 2 or nothing would ever be explored.
-        let test_full = self.config.test_full_set || arity == 1;
+        // Footnote 2: the full set is never tested, except on degenerate
+        // single-attribute schemas, where it is the only node.
+        let test_full = arity == 1;
         // One scratch ψ per triangle, rewritten in place at every node.
         let mut psi = free.clone();
         explore(arity, mode, test_full, |mask| {
@@ -194,7 +172,7 @@ impl Certa {
         triangles: &[OpenTriangle],
         y: MatchLabel,
         side: Side,
-        mask: crate::lattice::AttrMask,
+        mask: AttrMask,
         chi: f64,
     ) -> CounterfactualExplanation {
         let golden_set: Vec<AttrRef> = mask_attrs(mask)
@@ -275,7 +253,7 @@ pub fn mean_necessity_of(saliency: &SaliencyExplanation) -> f64 {
 
 /// Mean per-attribute whitespace-token Jaccard between two same-schema
 /// records — a proximity used only for ranking the example list.
-fn pair_token_overlap(original: &Record, modified: &Record) -> f64 {
+pub(crate) fn pair_token_overlap(original: &Record, modified: &Record) -> f64 {
     let arity = original.arity().min(modified.arity());
     if arity == 0 {
         return 1.0;

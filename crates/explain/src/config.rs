@@ -16,8 +16,6 @@ pub struct CertaConfig {
     pub use_augmentation: bool,
     /// Force *only* augmented triangles (the Tables 9–10 ablation).
     pub augmentation_only: bool,
-    /// Budget of augmented candidates scored per side.
-    pub augmentation_budget: usize,
     /// Cap on returned counterfactual examples; the flip-verified examples
     /// closest to the original input (token-overlap proximity) are kept, as
     /// in the reference implementation. `usize::MAX` disables the cap.
@@ -25,15 +23,13 @@ pub struct CertaConfig {
     /// Use the monotone-classifier optimization (§4). Disable to explore
     /// lattices exhaustively (ground truth for the Table 7 audit).
     pub monotone: bool,
-    /// Also test the full attribute set (off per footnote 2).
-    pub test_full_set: bool,
     /// Base RNG seed (candidate scan order).
     pub seed: u64,
-    /// Worker threads for [`Certa::explain_batch`](crate::Certa) and for
-    /// intra-`explain` triangle exploration. `0` = one per available core.
-    /// The worker count never changes results — scheduling only affects
-    /// wall-clock time, not output (results are merged in input / triangle
-    /// order).
+    /// Worker threads for [`Certa::explain_batch`](crate::Certa), which
+    /// fans whole pairs out; one explanation always runs sequentially. `0` =
+    /// one per available core. The worker count never changes results —
+    /// scheduling only affects wall-clock time, not output (results are
+    /// returned in input order).
     pub workers: usize,
 }
 
@@ -44,10 +40,8 @@ impl Default for CertaConfig {
             max_candidates: 2000,
             use_augmentation: true,
             augmentation_only: false,
-            augmentation_budget: 600,
             max_examples: 10,
             monotone: true,
-            test_full_set: false,
             seed: 0xCE27A,
             workers: 0,
         }
@@ -102,7 +96,6 @@ mod tests {
         assert_eq!(c.per_side(), 50);
         assert!(c.use_augmentation);
         assert!(c.monotone);
-        assert!(!c.test_full_set);
         assert!(!c.augmentation_only);
     }
 

@@ -5,7 +5,9 @@
 //! of Figure 8 for arity 3 has nodes `0b001 … 0b111`. The empty set is always
 //! tagged non-flip (γ(∅) = 0 by definition: copying nothing changes nothing)
 //! and the full set is, per footnote 2, *not tested* — it can only be tagged
-//! through monotone inference, unless [`ExploreMode`] requests otherwise.
+//! through monotone inference, unless the caller asks [`explore`] to test it
+//! (CERTA does so only for single-attribute sides, where it is the only
+//! node).
 
 use serde::{Deserialize, Serialize};
 

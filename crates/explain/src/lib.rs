@@ -30,13 +30,12 @@
 //! ## The batch engine ([`batch`])
 //!
 //! [`Certa::explain_batch`] explains many predictions at once on a
-//! work-stealing scoped-thread pool, and a single [`Certa::explain`] call
-//! fans its independent triangle lattices out the same way
-//! (`CertaConfig::workers`; `0` = one per core). **Determinism guarantee:**
-//! batch output is byte-identical to a sequential loop of `explain` calls in
-//! input order — per-pair work is deterministic in the config, flip counters
-//! are merged in triangle order regardless of completion order, and workers
-//! share no mutable state. Scheduling can only change wall-clock time.
+//! work-stealing scoped-thread pool (`CertaConfig::workers`; `0` = one per
+//! core). That pair pool is the crate's only fan-out: a single
+//! [`Certa::explain`] call is sequential. **Determinism guarantee:** batch
+//! output is byte-identical to a sequential loop of `explain` calls in input
+//! order — per-pair work is deterministic in the config and workers share
+//! no mutable state. Scheduling can only change wall-clock time.
 //! Pair this engine with `certa_models::CachingMatcher` (sharded,
 //! at-most-once per distinct pair) so concurrent workers never serialize on
 //! one cache lock nor double-score the model.
@@ -52,9 +51,10 @@ pub mod config;
 pub mod counterfactual;
 pub mod explanation;
 pub mod lattice;
+#[cfg(test)]
+mod oracle;
 pub mod perturb;
 pub mod saliency;
-pub mod token_level;
 pub mod triangles;
 
 pub use certa::{mean_necessity_of, Certa, CertaExplanation};
@@ -64,5 +64,4 @@ pub use explanation::{
     SaliencyExplainer, SaliencyExplanation,
 };
 pub use lattice::{AttrMask, Exploration, LatticeStats};
-pub use token_level::{occlusion_token_saliency, triangle_token_saliency, TokenScore};
 pub use triangles::{find_triangles, OpenTriangle, TriangleStats};

@@ -38,26 +38,6 @@ pub fn perturb_into(psi: &mut Record, free: &Record, support: &Record, mask: Att
     });
 }
 
-/// All perturbed copies `U_{w,a}` of Example 1: every subset containing
-/// attribute `a_index` (excluding the empty set), paired with its mask.
-///
-/// Exposed mainly for testing and for exhaustive-mode experiments; the CERTA
-/// algorithm itself enumerates lazily through the lattice.
-pub fn copies_containing(
-    free: &Record,
-    support: &Record,
-    a_index: usize,
-) -> Vec<(AttrMask, Record)> {
-    let arity = free.arity();
-    assert!(a_index < arity);
-    let full: AttrMask = ((1u64 << arity) - 1) as AttrMask;
-    let bit = 1 << a_index;
-    (1..=full)
-        .filter(|m| m & bit != 0)
-        .map(|m| (m, perturb(free, support, m)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,22 +93,6 @@ mod tests {
     fn full_mask_becomes_support_values() {
         let p = perturb(&free(), &support(), 0b111);
         assert_eq!(p.values(), support().values());
-    }
-
-    #[test]
-    fn example1_has_four_copies_containing_name() {
-        // Example 1: U'_{u2, Name_Abt} holds 4 perturbed copies (subsets of
-        // a 3-attribute schema containing Name).
-        let copies = copies_containing(&free(), &support(), 0);
-        assert_eq!(copies.len(), 4);
-        for (mask, copy) in &copies {
-            assert!(mask & 1 != 0);
-            assert_eq!(copy.values()[0], "altec lansing inmotion");
-        }
-        // The specific copy ψ(u, w, {Name, Description}) from the example.
-        let nd = copies.iter().find(|(m, _)| *m == 0b011).unwrap();
-        assert_eq!(nd.1.values()[1], "portable audio system");
-        assert_eq!(nd.1.values()[2], "");
     }
 
     #[test]

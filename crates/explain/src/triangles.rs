@@ -16,6 +16,9 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
+/// Augmented candidates scored per side when §3.3 augmentation runs.
+const AUGMENTATION_BUDGET: usize = 600;
+
 /// One open triangle: the side it was built on and the support record.
 ///
 /// The free record and pivot are implicit (the explained pair). Augmented
@@ -119,7 +122,7 @@ pub fn find_triangles(
 
         // §3.3 augmentation when the natural supply is short (or forced).
         if (found_side < quota && cfg.use_augmentation) || cfg.augmentation_only {
-            let mut budget = cfg.augmentation_budget;
+            let mut budget = AUGMENTATION_BUDGET;
             // Derive variants from natural supports first (most likely to
             // stay on the far side of the boundary), then from other
             // scanned records.

@@ -116,23 +116,4 @@ proptest! {
             prop_assert_eq!(b.mean_necessity, s.mean_necessity);
         }
     }
-
-    #[test]
-    fn intra_explain_triangle_parallelism_is_invisible(
-        families in proptest::collection::vec(any::<bool>(), 6..11),
-        weights in proptest::collection::vec(0.05f64..1.0, 3),
-    ) {
-        prop_assume!(families.iter().any(|&b| b) && families.iter().any(|&b| !b));
-        let dataset = build_dataset(3, &families, "xyz");
-        let matcher = weighted_matcher(weights);
-        let (u, v) = dataset.expect_pair(dataset.split(certa_core::Split::Test)[0].pair);
-        let base = CertaConfig {
-            num_triangles: 8,
-            use_augmentation: false,
-            ..Default::default()
-        };
-        let parallel = Certa::new(CertaConfig { workers: 4, ..base }).explain(&matcher, &dataset, u, v);
-        let sequential = Certa::new(CertaConfig { workers: 1, ..base }).explain(&matcher, &dataset, u, v);
-        prop_assert_eq!(parallel, sequential);
-    }
 }

@@ -6,15 +6,15 @@
 //!             [--seed N] [--tau N] [--http-workers N] [--explain-workers N]
 //!             [--queue-depth N] [--max-body-bytes N] [--read-timeout-ms N]
 //!             [--max-pipeline N] [--tenant-rps N] [--tenant-burst N]
-//!             [--stream-chunk-bytes N]
 //!             [--store-dir PATH] [--transfer off|nearest]
 //!             [--transfer-floor F] [--preload <dataset>/<model>]...
 //! ```
 //!
 //! `--queue-depth` caps open connections and queued requests (`503` past
 //! it); `--read-timeout-ms` reaps idle connections; `--tenant-rps 0`
-//! (default) disables per-tenant rate limiting, `--stream-chunk-bytes 0`
-//! disables chunked streaming of large responses.
+//! (default) disables per-tenant rate limiting. `--explain-workers` sizes
+//! the pair pool of one batch explanation request; a single explanation
+//! always runs sequentially.
 //!
 //! `--preload` resolves (generates + trains) the named entries before the
 //! listener opens, so the first real request doesn't pay the training
@@ -46,7 +46,7 @@ struct Args {
 const USAGE: &str = "usage: certa-serve [--host H] [--port P] \
 [--scale smoke|default|paper] [--seed N] [--tau N] [--http-workers N] [--explain-workers N] \
 [--queue-depth N] [--max-body-bytes N] [--read-timeout-ms N] [--max-pipeline N] \
-[--tenant-rps N] [--tenant-burst N] [--stream-chunk-bytes N] [--store-dir PATH] \
+[--tenant-rps N] [--tenant-burst N] [--store-dir PATH] \
 [--transfer off|nearest] [--transfer-floor F] [--preload <dataset>/<model>]...";
 
 fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
@@ -103,11 +103,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             }
             "--tenant-burst" => {
                 args.config.tenant_burst = value("--tenant-burst")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
-            }
-            "--stream-chunk-bytes" => {
-                args.config.stream_chunk_bytes = value("--stream-chunk-bytes")?
                     .parse()
                     .map_err(|e| format!("{e}"))?
             }
@@ -221,8 +216,6 @@ mod tests {
             "10",
             "--tenant-burst",
             "5",
-            "--stream-chunk-bytes",
-            "4096",
             "--store-dir",
             "/tmp/certa-models",
             "--transfer",
@@ -246,7 +239,6 @@ mod tests {
         assert_eq!(a.config.max_pipeline, 4);
         assert_eq!(a.config.tenant_rps, 10);
         assert_eq!(a.config.tenant_burst, 5);
-        assert_eq!(a.config.stream_chunk_bytes, 4096);
         assert_eq!(
             a.config.store_dir.as_deref(),
             Some(std::path::Path::new("/tmp/certa-models"))

@@ -11,9 +11,8 @@
 //! rejected with `501` (no endpoint needs streaming bodies), oversized
 //! bodies with `413` *before* reading them, and malformed syntax with `400`
 //! — always as a structured JSON error document, never by dropping the
-//! connection from a panicking worker. *Responses* may stream as chunked
-//! (see [`Response::encode`]); de-chunking yields byte-identical payloads,
-//! so the served-bytes ≡ in-process equality gate is framing-independent.
+//! connection from a panicking worker. Responses always carry
+//! `Content-Length` framing (see [`Response::encode`]).
 
 use crate::wire::Json;
 use std::io::{self, Write};
@@ -39,9 +38,6 @@ pub struct Request {
     pub body: Vec<u8>,
     /// Whether the connection should be kept open after the response.
     pub keep_alive: bool,
-    /// Whether the request spoke HTTP/1.1 (gates chunked responses; 1.0
-    /// clients always get `Content-Length` framing).
-    pub http11: bool,
 }
 
 impl Request {
@@ -120,7 +116,6 @@ struct Head {
     path: String,
     query: String,
     headers: Vec<(String, String)>,
-    http11: bool,
     keep_alive: bool,
     content_length: usize,
 }
@@ -134,7 +129,6 @@ impl Head {
             headers: self.headers,
             body,
             keep_alive: self.keep_alive,
-            http11: self.http11,
         }
     }
 }
@@ -257,7 +251,6 @@ fn parse_head(lines: &[String], max_body: usize) -> Result<Head, HttpError> {
         path,
         query,
         headers,
-        http11,
         keep_alive,
         content_length,
     })
@@ -382,54 +375,24 @@ impl Response {
         }
     }
 
-    /// Serialize head + body to wire bytes.
-    ///
-    /// `chunk: None` emits classic `Content-Length` framing. `chunk:
-    /// Some(n)` streams the body as `Transfer-Encoding: chunked` in
-    /// `n`-byte chunks — large batch explanations go out as a sequence of
-    /// bounded writes instead of one giant contiguous buffer flush. The
-    /// concatenated chunk payloads are exactly `self.body`, so de-chunking
-    /// clients observe byte-identical documents (callers only pass
-    /// `Some` for HTTP/1.1 peers; empty bodies keep `Content-Length: 0`
-    /// framing).
-    pub fn encode(&self, keep_alive: bool, chunk: Option<usize>) -> Vec<u8> {
+    /// Serialize head + body to wire bytes, with `Content-Length` framing.
+    pub fn encode(&self, keep_alive: bool) -> Vec<u8> {
         let connection = if keep_alive { "keep-alive" } else { "close" };
-        match chunk {
-            Some(n) if n > 0 && !self.body.is_empty() => {
-                let mut out = format!(
-                    "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ntransfer-encoding: chunked\r\nconnection: {connection}\r\n\r\n",
-                    self.status,
-                    reason(self.status),
-                    self.content_type,
-                )
-                .into_bytes();
-                for piece in self.body.chunks(n) {
-                    out.extend_from_slice(format!("{:x}\r\n", piece.len()).as_bytes());
-                    out.extend_from_slice(piece);
-                    out.extend_from_slice(b"\r\n");
-                }
-                out.extend_from_slice(b"0\r\n\r\n");
-                out
-            }
-            _ => {
-                let mut out = format!(
-                    "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {connection}\r\n\r\n",
-                    self.status,
-                    reason(self.status),
-                    self.content_type,
-                    self.body.len(),
-                )
-                .into_bytes();
-                out.extend_from_slice(&self.body);
-                out
-            }
-        }
+        let mut out = format!(
+            "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {connection}\r\n\r\n",
+            self.status,
+            reason(self.status),
+            self.content_type,
+            self.body.len(),
+        )
+        .into_bytes();
+        out.extend_from_slice(&self.body);
+        out
     }
 
-    /// Serialize head + body onto a blocking stream (`Content-Length`
-    /// framing).
+    /// Serialize head + body onto a blocking stream.
     pub fn write_to(&self, stream: &mut impl Write, keep_alive: bool) -> io::Result<()> {
-        stream.write_all(&self.encode(keep_alive, None))?;
+        stream.write_all(&self.encode(keep_alive))?;
         stream.flush()
     }
 }
@@ -636,42 +599,6 @@ mod tests {
         };
         assert_eq!(error.status, 431);
         assert_eq!(consumed, raw.len());
-    }
-
-    #[test]
-    fn chunked_encoding_dechunks_to_identical_bytes() {
-        let body: Vec<u8> = (0..1000u32).flat_map(|i| i.to_le_bytes()).collect();
-        let resp = Response::json(200, body.clone());
-        let wire = resp.encode(true, Some(64));
-        let text = String::from_utf8_lossy(&wire);
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(text.contains("transfer-encoding: chunked\r\n"));
-        assert!(!text.contains("content-length"));
-        // De-chunk and compare byte-for-byte.
-        let head_end = wire.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
-        let mut rest = &wire[head_end..];
-        let mut payload = Vec::new();
-        loop {
-            let line_end = rest.windows(2).position(|w| w == b"\r\n").unwrap();
-            let size =
-                usize::from_str_radix(std::str::from_utf8(&rest[..line_end]).unwrap(), 16).unwrap();
-            rest = &rest[line_end + 2..];
-            if size == 0 {
-                assert_eq!(rest, b"\r\n");
-                break;
-            }
-            payload.extend_from_slice(&rest[..size]);
-            assert_eq!(&rest[size..size + 2], b"\r\n");
-            rest = &rest[size + 2..];
-        }
-        assert_eq!(payload, body);
-        // Content-Length framing is unchanged by the encode() refactor.
-        let mut via_write_to = Vec::new();
-        resp.write_to(&mut via_write_to, true).unwrap();
-        assert_eq!(via_write_to, resp.encode(true, None));
-        // Empty bodies never chunk.
-        let empty = Response::json(204, Vec::new());
-        assert_eq!(empty.encode(true, Some(64)), empty.encode(true, None));
     }
 
     #[test]

@@ -50,7 +50,7 @@
 //!   no crates) plus deterministic per-tenant token buckets.
 //! * [`http`] / [`router`] / [`server`] — HTTP/1.1 with keep-alive,
 //!   request pipelining through one incremental parser, Content-Length
-//!   and chunked framing; structured JSON errors for every failure (400
+//!   framing; structured JSON errors for every failure (400
 //!   malformed, 413 oversized, 429 rate-limited, 503 overloaded, …);
 //!   graceful shutdown over a wake pipe.
 //!

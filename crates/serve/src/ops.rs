@@ -356,8 +356,6 @@ pub struct ServerMetrics {
     pub conn_pipeline_overflows: Counter,
     /// Requests refused with `429` by per-tenant admission control.
     pub rate_limited: Counter,
-    /// Responses streamed with chunked transfer-encoding.
-    pub streamed_responses: Counter,
     requests_by_route: [Counter; 12],
     responses_2xx: Counter,
     responses_4xx: Counter,
@@ -420,10 +418,6 @@ impl ServerMetrics {
                 &self.conn_pipeline_overflows,
             ),
             ("certa_serve_rate_limited_total", &self.rate_limited),
-            (
-                "certa_serve_streamed_responses_total",
-                &self.streamed_responses,
-            ),
         ] {
             out.scalar(Kind::Counter, name, counter);
         }
@@ -588,13 +582,11 @@ mod tests {
         m.conn_resets.inc();
         m.conn_pipeline_overflows.inc();
         m.rate_limited.inc();
-        m.streamed_responses.inc();
         let text = exposition(&m);
         assert!(text.contains("certa_serve_conn_timeouts_total 2"));
         assert!(text.contains("certa_serve_conn_resets_total 1"));
         assert!(text.contains("certa_serve_conn_pipeline_overflows_total 1"));
         assert!(text.contains("certa_serve_rate_limited_total 1"));
-        assert!(text.contains("certa_serve_streamed_responses_total 1"));
     }
 
     #[test]

@@ -791,7 +791,6 @@ mod tests {
             headers: vec![],
             body: body.as_bytes().to_vec(),
             keep_alive: true,
-            http11: true,
         }
     }
 

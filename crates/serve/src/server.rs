@@ -26,10 +26,6 @@
 //!   `certa_serve_conn_timeouts_total`);
 //! - a peer that half-closes mid-request gets `400 truncated_request`.
 //!
-//! Large HTTP/1.1 response bodies stream as `transfer-encoding: chunked`
-//! (threshold `stream_chunk_bytes`); de-chunking yields byte-identical
-//! payloads, so the served-bytes ≡ in-process equality gate is unchanged.
-//!
 //! ## Graceful shutdown
 //!
 //! [`ServerHandle::shutdown`] flips the stop flag and writes a byte to the
@@ -609,7 +605,7 @@ impl EventLoop {
                         .metrics
                         .observe(Route::Other, resp.status, Duration::ZERO);
                     conn.pending.push_back(Pending::Ready {
-                        bytes: resp.encode(keep, None),
+                        bytes: resp.encode(keep),
                         keep,
                     });
                     if !keep {
@@ -629,7 +625,7 @@ impl EventLoop {
                 .metrics
                 .observe(Route::Other, resp.status, Duration::ZERO);
             conn.pending.push_back(Pending::Ready {
-                bytes: resp.encode(false, None),
+                bytes: resp.encode(false),
                 keep: false,
             });
         }
@@ -654,7 +650,7 @@ impl EventLoop {
                     .metrics
                     .observe(Route::Other, resp.status, Duration::ZERO);
                 conn.pending.push_back(Pending::Ready {
-                    bytes: resp.encode(keep_wish, None),
+                    bytes: resp.encode(keep_wish),
                     keep: keep_wish,
                 });
                 return;
@@ -684,7 +680,7 @@ impl EventLoop {
                     .metrics
                     .observe(Route::Other, resp.status, Duration::ZERO);
                 conn.pending.push_back(Pending::Ready {
-                    bytes: resp.encode(false, None),
+                    bytes: resp.encode(false),
                     keep: false,
                 });
             }
@@ -903,19 +899,7 @@ fn event_worker_loop(shared: &EventShared, state: &AppState) {
         };
         state.metrics.observe(route, resp.status, t0.elapsed());
         let keep = job.req.keep_alive && resp.keep_alive;
-        let cfg = state.config();
-        // Stream large bodies as chunked — HTTP/1.1 clients only (1.0 has
-        // no chunked decoding). De-chunking restores identical bytes.
-        let chunk = if job.req.http11
-            && cfg.stream_chunk_bytes > 0
-            && resp.body.len() > cfg.stream_chunk_bytes
-        {
-            state.metrics.streamed_responses.inc();
-            Some(cfg.stream_chunk_bytes)
-        } else {
-            None
-        };
-        let bytes = resp.encode(keep, chunk);
+        let bytes = resp.encode(keep);
         shared.complete(Completion {
             token: job.token,
             seq: job.seq,
@@ -1164,49 +1148,6 @@ mod tests {
         let (status, _) = get(addr, "/healthz");
         assert_eq!(status, 200);
         assert!(server.state().metrics.rate_limited.get() >= 1);
-        server.shutdown();
-    }
-
-    #[test]
-    fn large_responses_stream_chunked_and_dechunk_identically() {
-        let server = Server::bind(
-            ServeConfig {
-                stream_chunk_bytes: 16, // tiny threshold: everything streams
-                ..small_config()
-            },
-            "127.0.0.1:0",
-        )
-        .unwrap();
-        let mut s = TcpStream::connect(server.addr()).unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        write!(s, "GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n").unwrap();
-        let mut raw = Vec::new();
-        s.read_to_end(&mut raw).unwrap();
-        let text = String::from_utf8_lossy(&raw);
-        assert!(text.contains("transfer-encoding: chunked"), "{text}");
-        let head_end = raw
-            .windows(4)
-            .position(|w| w == b"\r\n\r\n")
-            .expect("header terminator")
-            + 4;
-        // De-chunk the body and check it is the plain JSON payload.
-        let mut body = Vec::new();
-        let mut rest = &raw[head_end..];
-        loop {
-            let line_end = rest.windows(2).position(|w| w == b"\r\n").unwrap();
-            let size =
-                usize::from_str_radix(std::str::from_utf8(&rest[..line_end]).unwrap().trim(), 16)
-                    .unwrap();
-            rest = &rest[line_end + 2..];
-            if size == 0 {
-                break;
-            }
-            body.extend_from_slice(&rest[..size]);
-            rest = &rest[size + 2..];
-        }
-        let body = String::from_utf8(body).unwrap();
-        assert!(body.contains("\"status\":\"ok\""), "{body}");
-        assert!(server.state().metrics.streamed_responses.get() >= 1);
         server.shutdown();
     }
 }

@@ -88,8 +88,11 @@ pub struct ServeConfig {
     pub seed: u64,
     /// CERTA triangle budget τ.
     pub tau: usize,
-    /// Worker threads inside one explanation (1 = sequential per request;
-    /// request-level parallelism comes from the HTTP worker pool).
+    /// Worker threads of `explain_batch`'s pair pool, which explains the
+    /// pairs of one batch request (`/v1/explain_batch`, or `/v1/block` with
+    /// `explain_top`); 1 = one pair at a time. One explanation always runs
+    /// sequentially, and request-level parallelism comes from the HTTP
+    /// worker pool.
     pub explain_workers: usize,
     /// HTTP worker threads (0 = one per available core).
     pub http_workers: usize,
@@ -113,11 +116,6 @@ pub struct ServeConfig {
     pub tenant_rps: u64,
     /// Per-tenant burst allowance in requests (token-bucket capacity).
     pub tenant_burst: u64,
-    /// Bodies larger than this stream as `Transfer-Encoding: chunked` to
-    /// HTTP/1.1 clients (large batch explanations don't need one giant
-    /// contiguous write). The bytes after de-chunking are identical to the
-    /// Content-Length framing, so the byte-equality gate is unaffected.
-    pub stream_chunk_bytes: usize,
     /// Warm-start directory: when set, first-touch resolution tries
     /// `certa-store` artifacts for the `(dataset, model, scale, seed)`
     /// world before generating + training, and persists freshly trained
@@ -148,7 +146,6 @@ impl Default for ServeConfig {
             max_pipeline: 64,
             tenant_rps: 0,
             tenant_burst: 32,
-            stream_chunk_bytes: 64 * 1024,
             store_dir: None,
             transfer: TransferMode::Off,
             transfer_floor: 0.25,

@@ -58,9 +58,7 @@ impl Reply {
     }
 }
 
-/// Read one HTTP response off the stream — Content-Length framed or
-/// `transfer-encoding: chunked` (large bodies stream; de-chunking must
-/// yield the same bytes either way).
+/// Read one `Content-Length`-framed HTTP response off the stream.
 fn read_reply(s: &mut TcpStream) -> Reply {
     let mut head = Vec::new();
     let mut byte = [0u8; 1];
@@ -75,42 +73,15 @@ fn read_reply(s: &mut TcpStream) -> Reply {
         .expect("status line")
         .parse()
         .expect("numeric status");
-    let chunked = head
+    let len: usize = head
         .lines()
-        .any(|l| l.trim() == "transfer-encoding: chunked");
-    let body = if chunked {
-        let mut body = Vec::new();
-        loop {
-            // Chunk-size line in hex, then that many bytes, then CRLF.
-            let mut line = Vec::new();
-            while !line.ends_with(b"\r\n") {
-                s.read_exact(&mut byte).expect("chunk size");
-                line.push(byte[0]);
-            }
-            let size =
-                usize::from_str_radix(std::str::from_utf8(&line).expect("utf8 size").trim(), 16)
-                    .expect("hex chunk size");
-            let mut chunk = vec![0u8; size + 2];
-            s.read_exact(&mut chunk).expect("chunk body");
-            if size == 0 {
-                break;
-            }
-            chunk.truncate(size);
-            body.extend_from_slice(&chunk);
-        }
-        body
-    } else {
-        let len: usize = head
-            .lines()
-            .find_map(|l| l.strip_prefix("content-length:"))
-            .expect("content-length header")
-            .trim()
-            .parse()
-            .expect("numeric length");
-        let mut body = vec![0u8; len];
-        s.read_exact(&mut body).expect("response body");
-        body
-    };
+        .find_map(|l| l.strip_prefix("content-length:"))
+        .expect("content-length header")
+        .trim()
+        .parse()
+        .expect("numeric length");
+    let mut body = vec![0u8; len];
+    s.read_exact(&mut body).expect("response body");
     Reply {
         status,
         headers: head,

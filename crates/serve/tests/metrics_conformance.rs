@@ -21,7 +21,6 @@ fn req(method: &str, target: &str, body: &str) -> Request {
         headers: vec![],
         body: body.as_bytes().to_vec(),
         keep_alive: true,
-        http11: true,
     }
 }
 
@@ -127,7 +126,7 @@ fn metrics_exposition_conforms_before_and_after_traffic() {
     let registry = Registry::new(config);
     let metrics = ServerMetrics::default();
     let empty = scrape(&registry, &metrics);
-    assert_eq!(conform(&empty), (13, 30), "{empty}");
+    assert_eq!(conform(&empty), (12, 29), "{empty}");
 
     let traffic = [
         req(
@@ -176,7 +175,7 @@ fn metrics_exposition_conforms_before_and_after_traffic() {
 
     // All 33 families render, the transfer and partition gauges included.
     let full = scrape(&registry, &metrics);
-    assert_eq!(conform(&full), (33, 62), "{full}");
+    assert_eq!(conform(&full), (32, 61), "{full}");
     // A second render of the same state gives the same bytes, apart from
     // the wall-clock uptime: the first family's two lines.
     assert!(full.starts_with("# TYPE certa_serve_uptime_seconds gauge\n"));

@@ -21,7 +21,6 @@ fn post(path: &str, body: &str) -> Request {
         headers: vec![],
         body: body.as_bytes().to_vec(),
         keep_alive: true,
-        http11: true,
     }
 }
 

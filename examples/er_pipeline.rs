@@ -1,5 +1,5 @@
 //! A complete entity-resolution pipeline on two raw tables:
-//! blocking → matching → explanation → (optional) token drill-down.
+//! blocking → matching → explanation.
 //!
 //! This is the "downstream adopter" workflow: you have two record sources,
 //! you want the matches, and for anything surprising you want to know *why*.
@@ -9,10 +9,9 @@
 //! ```
 
 use certa_repro::core::blocking::TokenIndex;
-use certa_repro::core::{Matcher, RecordPair, Side, Split};
+use certa_repro::core::{Matcher, RecordPair, Split};
 use certa_repro::datagen::{generate, DatasetId, Scale};
-use certa_repro::explain::token_level::occlusion_token_saliency;
-use certa_repro::explain::{AttrRef, Certa, CertaConfig};
+use certa_repro::explain::{Certa, CertaConfig};
 use certa_repro::models::{train_model, ModelKind, TrainConfig};
 
 fn main() {
@@ -77,23 +76,6 @@ fn main() {
     println!("\nattribute saliency:");
     for (attr, s) in explanation.saliency.ranked().into_iter().take(4) {
         println!("  {:<22} {:.3}", attr.qualified(&dataset), s);
-    }
-
-    // 4. Token drill-down (the paper's future-work extension): which tokens
-    //    inside the most salient left attribute carry the decision?
-    let top_attr = explanation
-        .saliency
-        .ranked()
-        .into_iter()
-        .map(|(a, _)| a)
-        .find(|a| a.side == Side::Left)
-        .unwrap_or(AttrRef::new(Side::Left, 0));
-    let tokens = occlusion_token_saliency(&matcher, u, v, top_attr);
-    println!("\ntoken saliency inside {}:", top_attr.qualified(&dataset));
-    let mut ranked = tokens.clone();
-    ranked.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap());
-    for t in ranked.iter().take(5) {
-        println!("  {:<18} {:.3}", t.token, t.score);
     }
 
     // Sanity: the pipeline found real matches (the split has ground truth).
