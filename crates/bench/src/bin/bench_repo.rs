@@ -43,7 +43,7 @@ fn search_lines(store: &ModelStore, id: DatasetId, scale: Scale, seed: u64) -> S
         repo.len(),
         repo.skipped()
     );
-    let query = build_signature(&generate(id, scale, seed), 1);
+    let query = build_signature(&generate(id, scale, seed));
     for (sim, entry) in repo.nearest(&query, 10) {
         out.push_str(&format!(
             "{sim:.6}  {}  ({} {} seed {})\n",

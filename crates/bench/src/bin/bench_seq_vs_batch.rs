@@ -26,7 +26,7 @@ fn main() {
     let opts = CliOptions::from_env();
     banner("seq vs batch — parallel batch explanation engine", &opts);
     let cfg = opts.grid();
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cores = certa_core::worker_count(0);
 
     let dataset = generate(DatasetId::FZ, cfg.scale, cfg.seed);
     let zoo = train_zoo(&dataset);

@@ -177,18 +177,15 @@ impl Blocker for TokenPrefix {
 /// which is why the default pipeline unions the two passes
 /// (see [`crate::MultiPass`]).
 ///
-/// `max_posting` is the build-time stop-word cutoff of the underlying
-/// index (`0` = auto: `max(1000, |right| / 4)` — a cutoff that never
-/// drops tokens at benchmark scales but bounds the index on stop-word
-///-heavy web data).
+/// The underlying index's build-time stop-word cutoff (its `max_posting`)
+/// is `max(1000, |right| / 4)`: it never drops tokens at benchmark scales
+/// but bounds the index on stop-word-heavy web data.
 #[derive(Debug, Clone, Copy)]
 pub struct TokenOverlap {
     /// Absolute floor on shared distinct tokens.
     pub min_overlap: usize,
     /// Minimum `overlap / min(|tokens(u)|, |tokens(v)|)` for candidacy.
     pub min_containment: f64,
-    /// Build-time stop-word cutoff for the right-side index (`0` = auto).
-    pub max_posting: usize,
 }
 
 impl Default for TokenOverlap {
@@ -202,7 +199,6 @@ impl Default for TokenOverlap {
         TokenOverlap {
             min_overlap: 2,
             min_containment: 0.5,
-            max_posting: 0,
         }
     }
 }
@@ -223,24 +219,13 @@ fn distinct_token_count(record: &certa_core::Record, scratch: &mut Vec<u64>) -> 
 impl Blocker for TokenOverlap {
     fn name(&self) -> String {
         format!(
-            "token-overlap(k={},c={},max_posting={})",
-            self.min_overlap,
-            self.min_containment,
-            if self.max_posting == 0 {
-                "auto".to_string()
-            } else {
-                self.max_posting.to_string()
-            }
+            "token-overlap(k={},c={},max_posting=auto)",
+            self.min_overlap, self.min_containment
         )
     }
 
     fn candidates(&self, left: &Table, right: &Table) -> Vec<RecordPair> {
-        let cap = if self.max_posting == 0 {
-            1000.max(right.len() / 4)
-        } else {
-            self.max_posting
-        };
-        let index = TokenIndex::build(right, cap);
+        let index = TokenIndex::build(right, 1000.max(right.len() / 4));
         let mut scratch: Vec<u64> = Vec::new();
         // Distinct-token counts of the right records, for the containment
         // denominator.

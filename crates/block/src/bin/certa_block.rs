@@ -173,7 +173,6 @@ fn build_blocker(o: &Options) -> Result<Box<dyn Blocker>, String> {
         "token-overlap" | "overlap" => Ok(Box::new(TokenOverlap {
             min_overlap: o.min_overlap,
             min_containment: o.containment,
-            max_posting: 0,
         })),
         "multi" => Ok(Box::new(MultiPass::standard())),
         other => Err(format!("unknown blocker `{other}`\n{USAGE}")),

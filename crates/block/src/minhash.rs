@@ -20,8 +20,8 @@
 //! commutative. `certa-lint`'s `no-nondeterminism` rule is enforced on this
 //! crate.
 
-use certa_core::hash::fx_hash_one;
-use certa_core::Record;
+use certa_core::hash::{fx_hash_one, splitmix64};
+use certa_core::{run_indexed, Record};
 
 /// How a record is reduced to its set of blocking shingles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,16 +95,6 @@ fn char_gram_hashes(tok: &str, q: usize, emit: &mut impl FnMut(u64)) {
     }
 }
 
-/// SplitMix64 finalizer: a strong 64-bit mixer used to derive independent
-/// hash functions from one seed.
-#[inline]
-pub(crate) fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A seeded family of `num_hashes` MinHash functions.
 #[derive(Debug, Clone)]
 pub struct MinHasher {
@@ -123,7 +113,7 @@ impl MinHasher {
     pub fn new(num_hashes: usize, shingle: Shingle, seed: u64) -> MinHasher {
         MinHasher {
             salts: (0..num_hashes as u64)
-                .map(|i| mix64(seed ^ mix64(i.wrapping_add(1))))
+                .map(|i| splitmix64(seed ^ splitmix64(i.wrapping_add(1))))
                 .collect(),
             shingle,
         }
@@ -140,7 +130,7 @@ impl MinHasher {
     }
 
     /// The MinHash signature of one record: coordinate `i` is
-    /// `min over shingles s of mix64(hash(s) ^ salt_i)`. Returns an empty
+    /// `min over shingles s of splitmix64(hash(s) ^ salt_i)`. Returns an empty
     /// vector for records with no clean tokens — such records carry no
     /// token evidence and must never collide with anything.
     pub fn signature(&self, record: &Record) -> Vec<u64> {
@@ -149,7 +139,7 @@ impl MinHasher {
         self.shingle.for_each_hash(record, |h| {
             saw_any = true;
             for (coord, salt) in sig.iter_mut().zip(&self.salts) {
-                let v = mix64(h ^ salt);
+                let v = splitmix64(h ^ salt);
                 if v < *coord {
                     *coord = v;
                 }
@@ -162,32 +152,12 @@ impl MinHasher {
         }
     }
 
-    /// Signatures for every record of a slice, computed in parallel with
-    /// `workers` threads (`0` = one per available core) and returned in
-    /// input order — the thread count never changes a single byte of the
-    /// output (each signature is a pure per-record function).
+    /// Signatures for every record of a slice in input order, one
+    /// [`run_indexed`] task per record over `workers` threads (`0` = one
+    /// per available core). Each signature is a pure per-record function,
+    /// so the worker count never changes a byte of the output.
     pub fn signatures(&self, records: &[Record], workers: usize) -> Vec<Vec<u64>> {
-        let workers = if workers == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            workers
-        };
-        let workers = workers.clamp(1, records.len().max(1));
-        if workers == 1 || records.len() < 64 {
-            return records.iter().map(|r| self.signature(r)).collect();
-        }
-        let chunk = records.len().div_ceil(workers);
-        let mut out: Vec<Vec<Vec<u64>>> = Vec::with_capacity(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = records
-                .chunks(chunk)
-                .map(|slice| scope.spawn(move || slice.iter().map(|r| self.signature(r)).collect()))
-                .collect();
-            for h in handles {
-                out.push(h.join().expect("signature worker panicked"));
-            }
-        });
-        out.into_iter().flatten().collect()
+        run_indexed(records.len(), workers, |i| self.signature(&records[i]))
     }
 }
 

@@ -50,7 +50,7 @@ impl Default for Options {
             clusterer: "components".to_string(),
             threshold: ClusterConfig::default().threshold,
             batch: 4096,
-            workers: 0,
+            workers: 1,
             top: 10,
             explain_side: None,
             explain_id: None,
@@ -191,7 +191,7 @@ fn main() {
         &ClusterConfig {
             threshold: opts.threshold,
             batch_size: opts.batch,
-            workers: opts.workers.max(1),
+            workers: opts.workers,
         },
     );
     let cluster_secs = t2.elapsed().as_secs_f64();

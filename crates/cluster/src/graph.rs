@@ -2,14 +2,14 @@
 //!
 //! The input is the canonical candidate list a [`certa_block::Blocker`]
 //! emits — sorted by `(left, right)`, deduplicated. [`score_candidates`]
-//! runs it through `Matcher::score_batch` in bounded chunks, optionally
-//! fanned out over a work-stealing worker pool; [`threshold_edges`] keeps
-//! the edges at or above the match threshold. Both preserve input order, so
-//! the edge list inherits the candidate list's canonical order and the
-//! whole stage is byte-deterministic across worker counts.
+//! runs it through `Matcher::score_batch` in bounded chunks, fanned out on
+//! the workspace's work-stealing pool, [`certa_core::run_indexed`];
+//! [`threshold_edges`] keeps the edges at or above the match threshold.
+//! Both preserve input order, so the edge list inherits the candidate
+//! list's canonical order and the whole stage is byte-deterministic across
+//! worker counts.
 
-use certa_core::{Dataset, Matcher, Record, RecordPair};
-use certa_explain::batch::run_indexed;
+use certa_core::{run_indexed, Dataset, Matcher, Record, RecordPair};
 
 /// One match-graph edge: a candidate pair and its matcher score.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,13 +21,13 @@ pub struct ScoredEdge {
 }
 
 /// Score every candidate through [`Matcher::score_batch`] in chunks of
-/// `batch_size`, using up to `workers` threads (`0` or `1` runs inline).
+/// `batch_size`, using up to `workers` threads (`0` = one per available
+/// core, `1` runs inline).
 ///
-/// Chunks are claimed work-stealing style through
-/// [`certa_explain::batch::run_indexed`], which returns results in chunk
-/// order, so the returned edges are in candidate order regardless of
-/// scheduling — with a deterministic matcher the output is byte-identical
-/// across worker counts.
+/// Chunks are claimed work-stealing style through [`run_indexed`], which
+/// returns results in chunk order, so the returned edges are in candidate
+/// order regardless of scheduling — with a deterministic matcher the output
+/// is byte-identical across worker counts.
 pub fn score_candidates(
     dataset: &Dataset,
     matcher: &dyn Matcher,
@@ -113,7 +113,7 @@ mod tests {
         let cands = all_pairs(9);
         let m = id_matcher();
         let one = score_candidates(&d, &m, &cands, 5, 1);
-        for workers in [2, 4, 8] {
+        for workers in [0, 2, 4, 8] {
             let w = score_candidates(&d, &m, &cands, 5, workers);
             assert_eq!(one, w, "workers={workers} diverged");
         }

@@ -3,7 +3,8 @@
 //!
 //! [`run_cluster_pipeline`] consumes the canonical candidate list a
 //! [`certa_block::Blocker`] produced, scores it through the matcher's batch
-//! path (fan out with `cfg.workers`; output is identical for every worker
+//! path (fanned out over `cfg.workers` threads by
+//! [`certa_core::run_indexed`]; output is identical for every worker
 //! count), thresholds the scores into match edges, and hands them to a
 //! [`Clusterer`]. [`run_cluster_pipeline_cached`] is the same but reads the
 //! [`CachingMatcher`]'s hit/miss delta into the report, so repeated runs
@@ -23,7 +24,7 @@ pub struct ClusterConfig {
     pub threshold: f64,
     /// Candidates scored per `score_batch` call.
     pub batch_size: usize,
-    /// Scoring worker threads (`0` or `1` = inline).
+    /// Scoring worker threads (`0` = one per available core, `1` = inline).
     pub workers: usize,
 }
 

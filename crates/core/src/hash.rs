@@ -90,6 +90,18 @@ pub fn fx_hash_one<T: Hash + ?Sized>(value: &T) -> u64 {
     h.finish()
 }
 
+/// The SplitMix64 finalizer: a strong 64-bit mixer. The MinHash families
+/// of the blocking layer's LSH and the store's dataset signatures derive
+/// their independent hash functions from one seed with it, so a change here
+/// moves LSH candidates and signature bytes.
+#[inline]
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

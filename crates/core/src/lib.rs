@@ -18,7 +18,11 @@
 //! * [`Dataset`] — two tables plus ground truth and train/test splits;
 //! * [`tokens`] — whitespace tokenization shared by matchers and perturbers;
 //! * [`blocking`] — a token inverted index for candidate generation;
-//! * [`hash`] — a fast non-cryptographic hasher (FxHash) used for caches.
+//! * [`hash`] — a fast non-cryptographic hasher (FxHash) used for caches,
+//!   and the SplitMix64 finalizer MinHash families derive their functions
+//!   with;
+//! * [`par`] — [`run_indexed`], the workspace's one data-parallel fan-out,
+//!   and [`worker_count`], its rule that `0` workers means one per core.
 //!
 //! The paper treats the deep-learning matcher strictly as a black box; the
 //! [`Matcher`] trait enforces the same boundary here, so the CERTA explainer
@@ -31,6 +35,7 @@ pub mod hash;
 pub mod lockcheck;
 pub mod matcher;
 pub mod pair;
+pub mod par;
 pub mod record;
 pub mod schema;
 pub mod table;
@@ -42,6 +47,7 @@ pub use error::{CoreError, Result};
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use matcher::{BoxedMatcher, FnMatcher, Matcher, Prediction};
 pub use pair::{LabeledPair, MatchLabel, RecordPair, Side};
+pub use par::{run_indexed, worker_count};
 pub use record::{Record, RecordId};
 pub use schema::{AttrId, Schema};
 pub use table::Table;

@@ -2,7 +2,7 @@
 //! binaries.
 
 use certa_baselines::{CfMethod, SaliencyMethod};
-use certa_core::{BoxedMatcher, Dataset, LabeledPair, Split};
+use certa_core::{run_indexed, worker_count, BoxedMatcher, Dataset, LabeledPair, Split};
 use certa_datagen::{generate, DatasetId, Scale};
 use certa_explain::CertaConfig;
 use certa_models::{train_zoo, trainer::sample_pairs, CachingMatcher, ModelKind, TrainedZoo};
@@ -111,25 +111,12 @@ impl PreparedDataset {
     }
 }
 
-/// Prepare all configured datasets, parallelized with scoped threads.
+/// Prepare all configured datasets, one [`run_indexed`] task per dataset
+/// over one worker per available core.
 pub fn prepare(cfg: &GridConfig) -> Vec<PreparedDataset> {
-    let mut out: Vec<Option<PreparedDataset>> = cfg.datasets.iter().map(|_| None).collect();
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2);
-    let chunk = cfg.datasets.len().div_ceil(workers.max(1)).max(1);
-    std::thread::scope(|s| {
-        for (ids, outs) in cfg.datasets.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            s.spawn(move || {
-                for (id, slot) in ids.iter().zip(outs.iter_mut()) {
-                    *slot = Some(PreparedDataset::build(*id, cfg));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        .map(|o| o.expect("all slots filled"))
-        .collect()
+    run_indexed(cfg.datasets.len(), 0, |i| {
+        PreparedDataset::build(cfg.datasets[i], cfg)
+    })
 }
 
 /// One cell of a saliency table (Tables 2–3).
@@ -160,17 +147,45 @@ pub struct CfCell {
 
 /// Per-cell explainer worker budget. An explicit `GridConfig::workers`
 /// (the `--workers` flag) wins; otherwise the cores are divided across the
-/// datasets running in parallel — the grid already runs one thread per
-/// dataset, so nesting full `available_parallelism` under that fan-out
+/// datasets running in parallel — the grid already runs one worker per
+/// dataset, so nesting one explain worker per core under that fan-out
 /// would oversubscribe the CPU with no extra throughput.
 fn cell_workers(cfg: &GridConfig, datasets: usize) -> usize {
     if cfg.workers > 0 {
         return cfg.workers;
     }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    (cores / datasets.max(1)).max(1)
+    (worker_count(0) / datasets.max(1)).max(1)
+}
+
+/// The grid loop shared by [`run_saliency_grid`] and [`run_cf_grid`]:
+/// one [`run_indexed`] worker per dataset, and within a dataset every
+/// (model, method) cell in order. `cell` receives the dataset, the model,
+/// its cached matcher, the method and the CERTA configuration with the
+/// per-cell worker budget; cells come back in (dataset, model, method)
+/// order.
+fn run_grid<M: Copy + Sync, C: Send + Sync>(
+    prepared: &[PreparedDataset],
+    cfg: &GridConfig,
+    methods: &[M],
+    cell: impl Fn(&PreparedDataset, ModelKind, &BoxedMatcher, M, CertaConfig) -> C + Sync,
+) -> Vec<C> {
+    let certa = cfg
+        .certa_config()
+        .with_workers(cell_workers(cfg, prepared.len()));
+    run_indexed(prepared.len(), prepared.len(), |i| {
+        let p = &prepared[i];
+        let mut cells = Vec::new();
+        for &model in &cfg.models {
+            let matcher = p.cached_matcher(model);
+            for &method in methods {
+                cells.push(cell(p, model, &matcher, method, certa));
+            }
+        }
+        cells
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Evaluate a saliency metric over the full grid.
@@ -197,41 +212,20 @@ where
         ) -> f64
         + Sync,
 {
-    let metric = &metric;
-    let workers = cell_workers(cfg, prepared.len());
-    let mut all: Vec<Vec<SaliencyCell>> = Vec::new();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = prepared
-            .iter()
-            .map(|p| {
-                let cfg = cfg.clone();
-                let methods = methods.to_vec();
-                s.spawn(move || {
-                    let mut cells = Vec::new();
-                    for &model in &cfg.models {
-                        let matcher = p.cached_matcher(model);
-                        for &method in &methods {
-                            let explainer =
-                                method.build(cfg.certa_config().with_workers(workers), cfg.seed);
-                            let value =
-                                metric(&matcher, &p.dataset, explainer.as_ref(), &p.explained);
-                            cells.push(SaliencyCell {
-                                dataset: p.id,
-                                model,
-                                method,
-                                value,
-                            });
-                        }
-                    }
-                    cells
-                })
-            })
-            .collect();
-        for h in handles {
-            all.push(h.join().expect("grid worker must not panic"));
-        }
-    });
-    all.into_iter().flatten().collect()
+    run_grid(
+        prepared,
+        cfg,
+        methods,
+        |p, model, matcher, method, certa| {
+            let explainer = method.build(certa, cfg.seed);
+            SaliencyCell {
+                dataset: p.id,
+                model,
+                method,
+                value: metric(matcher, &p.dataset, explainer.as_ref(), &p.explained),
+            }
+        },
+    )
 }
 
 /// Evaluate all counterfactual metrics over the full grid (same
@@ -241,44 +235,20 @@ pub fn run_cf_grid(
     cfg: &GridConfig,
     methods: &[CfMethod],
 ) -> Vec<CfCell> {
-    let workers = cell_workers(cfg, prepared.len());
-    let mut all: Vec<Vec<CfCell>> = Vec::new();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = prepared
-            .iter()
-            .map(|p| {
-                let cfg = cfg.clone();
-                let methods = methods.to_vec();
-                s.spawn(move || {
-                    let mut cells = Vec::new();
-                    for &model in &cfg.models {
-                        let matcher = p.cached_matcher(model);
-                        for &method in &methods {
-                            let explainer =
-                                method.build(cfg.certa_config().with_workers(workers), cfg.seed);
-                            let value = cf_metrics_for(
-                                &matcher,
-                                &p.dataset,
-                                explainer.as_ref(),
-                                &p.explained,
-                            );
-                            cells.push(CfCell {
-                                dataset: p.id,
-                                model,
-                                method,
-                                value,
-                            });
-                        }
-                    }
-                    cells
-                })
-            })
-            .collect();
-        for h in handles {
-            all.push(h.join().expect("grid worker must not panic"));
-        }
-    });
-    all.into_iter().flatten().collect()
+    run_grid(
+        prepared,
+        cfg,
+        methods,
+        |p, model, matcher, method, certa| {
+            let explainer = method.build(certa, cfg.seed);
+            CfCell {
+                dataset: p.id,
+                model,
+                method,
+                value: cf_metrics_for(matcher, &p.dataset, explainer.as_ref(), &p.explained),
+            }
+        },
+    )
 }
 
 #[cfg(test)]
@@ -358,6 +328,33 @@ mod tests {
     }
 
     #[test]
+    fn grid_cells_do_not_depend_on_the_worker_count() {
+        let mut cfg = tiny_cfg();
+        cfg.datasets = vec![DatasetId::FZ, DatasetId::IA];
+        cfg.n_explained = 4;
+        let prepared = prepare(&cfg);
+        let at = |workers: usize| GridConfig {
+            workers,
+            ..cfg.clone()
+        };
+        let saliency = |workers: usize| {
+            let cells = run_saliency_grid(
+                &prepared,
+                &at(workers),
+                &[SaliencyMethod::Certa, SaliencyMethod::Shap],
+                |m, d, e, p| faithfulness_auc(m, d, e, p),
+            );
+            format!("{cells:?}")
+        };
+        assert_eq!(saliency(1), saliency(3));
+        let cf = |workers: usize| {
+            let cells = run_cf_grid(&prepared, &at(workers), &[CfMethod::Certa, CfMethod::LimeC]);
+            format!("{cells:?}")
+        };
+        assert_eq!(cf(1), cf(3));
+    }
+
+    #[test]
     fn cell_worker_budget_is_positive_and_bounded() {
         let auto = GridConfig::for_scale(Scale::Smoke);
         assert!(cell_workers(&auto, 1) >= 1);
@@ -366,10 +363,7 @@ mod tests {
             1,
             "huge fan-out degrades to 1"
         );
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        assert!(cell_workers(&auto, 1) <= cores);
+        assert!(cell_workers(&auto, 1) <= worker_count(0));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! | [`grid`] | the (dataset × model × method) experiment driver |
 //! | [`report`] | plain-text table rendering |
 //!
-//! The grid parallelizes across datasets with `std::thread::scope`;
+//! The grid parallelizes across datasets on [`certa_core::run_indexed`];
 //! every matcher is wrapped in a content-addressed score cache, so repeated
 //! perturbations (which dominate explainer workloads) hit the model once.
 

@@ -3,9 +3,9 @@
 //! CERTA's cost is dominated by black-box matcher invocations, and distinct
 //! predictions are embarrassingly parallel: nothing about explaining
 //! `⟨u₁, v₁⟩` depends on `⟨u₂, v₂⟩`. [`Certa::explain_batch`] exploits that
-//! with a **work-stealing worker pool**: scoped threads claim pair indices
-//! from a shared atomic counter (so a pair with an expensive lattice doesn't
-//! stall a statically-assigned partner) and write each result into its
+//! by fanning whole pairs out on [`certa_core::run_indexed`], the
+//! workspace's work-stealing pool: a pair with an expensive lattice doesn't
+//! stall a statically-assigned partner, and each result lands in its
 //! input-index slot.
 //!
 //! ## Determinism guarantee
@@ -24,60 +24,23 @@
 //! [`Certa::explain`], which is sequential.
 
 use crate::certa::{Certa, CertaExplanation};
-use certa_core::{Dataset, LabeledPair, Matcher, Record};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
-
-/// Run `f(i)` for every `i in 0..len` on a work-stealing scoped-thread pool
-/// and return the results in index order. The single shared concurrency
-/// primitive of the workspace — `explain_batch` steals whole pairs through
-/// it and `certa_cluster` steals candidate chunks. `workers <= 1` (or
-/// `len <= 1`) runs inline with no threads.
-pub fn run_indexed<T: Send + Sync>(
-    len: usize,
-    workers: usize,
-    f: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    let workers = workers.min(len);
-    if workers <= 1 {
-        return (0..len).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<T>> = (0..len).map(|_| OnceLock::new()).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= len {
-                    break;
-                }
-                let value = f(i);
-                slots[i]
-                    .set(value)
-                    .unwrap_or_else(|_| unreachable!("index {i} claimed once"));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every slot filled"))
-        .collect()
-}
+use certa_core::{run_indexed, Dataset, LabeledPair, Matcher, Record};
 
 impl Certa {
     /// Explain a batch of predictions in parallel; results are returned in
     /// input order and are identical to a loop of [`Certa::explain`] calls.
     ///
-    /// The worker count comes from `config.workers` (`0` = one per core),
-    /// clamped to the batch size. With one worker (or one pair) this *is*
-    /// the sequential loop.
+    /// The worker count is `config.workers`, resolved by
+    /// [`certa_core::worker_count`] (`0` = one per core) and clamped to the
+    /// batch size. With one worker (or one pair) this *is* the sequential
+    /// loop.
     pub fn explain_batch(
         &self,
         matcher: &dyn Matcher,
         dataset: &Dataset,
         pairs: &[(&Record, &Record)],
     ) -> Vec<CertaExplanation> {
-        run_indexed(pairs.len(), self.config().effective_workers(), |i| {
+        run_indexed(pairs.len(), self.config().workers, |i| {
             let (u, v) = pairs[i];
             self.explain(matcher, dataset, u, v)
         })

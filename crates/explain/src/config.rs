@@ -27,9 +27,9 @@ pub struct CertaConfig {
     pub seed: u64,
     /// Worker threads for [`Certa::explain_batch`](crate::Certa), which
     /// fans whole pairs out; one explanation always runs sequentially. `0` =
-    /// one per available core. The worker count never changes results —
-    /// scheduling only affects wall-clock time, not output (results are
-    /// returned in input order).
+    /// one per available core ([`certa_core::worker_count`]). The worker
+    /// count never changes results — scheduling only affects wall-clock
+    /// time, not output (results are returned in input order).
     pub workers: usize,
 }
 
@@ -67,18 +67,6 @@ impl CertaConfig {
         self
     }
 
-    /// Effective worker count: the configured value, or the machine's
-    /// available parallelism when `workers == 0`.
-    pub fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            self.workers
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
-    }
-
     /// Triangles requested per side (τ/2, at least 1).
     pub fn per_side(&self) -> usize {
         (self.num_triangles / 2).max(1)
@@ -112,8 +100,6 @@ mod tests {
     fn worker_settings() {
         let auto = CertaConfig::default();
         assert_eq!(auto.workers, 0, "auto-detect by default");
-        assert!(auto.effective_workers() >= 1);
-        let fixed = CertaConfig::default().with_workers(3);
-        assert_eq!(fixed.effective_workers(), 3);
+        assert_eq!(CertaConfig::default().with_workers(3).workers, 3);
     }
 }

@@ -29,13 +29,14 @@
 //!
 //! ## The batch engine ([`batch`])
 //!
-//! [`Certa::explain_batch`] explains many predictions at once on a
-//! work-stealing scoped-thread pool (`CertaConfig::workers`; `0` = one per
-//! core). That pair pool is the crate's only fan-out: a single
-//! [`Certa::explain`] call is sequential. **Determinism guarantee:** batch
-//! output is byte-identical to a sequential loop of `explain` calls in input
-//! order — per-pair work is deterministic in the config and workers share
-//! no mutable state. Scheduling can only change wall-clock time.
+//! [`Certa::explain_batch`] explains many predictions at once on
+//! [`certa_core::run_indexed`], the workspace's one work-stealing pool
+//! (`CertaConfig::workers`; `0` = one per core). That pair pool is the
+//! crate's only fan-out: a single [`Certa::explain`] call is sequential.
+//! **Determinism guarantee:** batch output is byte-identical to a
+//! sequential loop of `explain` calls in input order — per-pair work is
+//! deterministic in the config and workers share no mutable state.
+//! Scheduling can only change wall-clock time.
 //! Pair this engine with `certa_models::CachingMatcher` (sharded,
 //! at-most-once per distinct pair) so concurrent workers never serialize on
 //! one cache lock nor double-score the model.

@@ -137,7 +137,7 @@ fn main() {
         cfg.scale,
         cfg.seed,
         cfg.tau,
-        cfg.effective_http_workers(),
+        certa_core::worker_count(cfg.http_workers),
         cfg.queue_depth,
     );
     // Preload *before* the listener opens: a health probe must not succeed

@@ -25,7 +25,7 @@ use crate::http::{HttpError, Request, Response};
 use crate::ops::{Exposition, Route, ServerMetrics};
 use crate::state::{ModelEntry, Registry};
 use crate::wire::{dto, Json, PairDto};
-use certa_core::{Matcher, Prediction, Record, Side};
+use certa_core::{worker_count, Matcher, Prediction, Record, Side};
 use std::sync::Arc;
 
 /// Route a parsed request. Never panics; never returns a non-JSON error
@@ -284,7 +284,6 @@ impl BlockParams {
             "token-overlap" => Ok(Box::new(certa_block::TokenOverlap {
                 min_overlap: self.min_overlap,
                 min_containment: self.min_containment,
-                max_posting: 0,
             })),
             "sorted-neighborhood" => Ok(Box::new(certa_block::SortedNeighborhood {
                 window: self.window,
@@ -393,13 +392,16 @@ struct ClusterParams {
     block: BlockParams,
     clusterer: String,
     threshold: f64,
+    /// The resolved scoring worker count: the request's `workers` through
+    /// `worker_count` (`0` = one per core), capped at `CLUSTER_MAX_WORKERS`.
     workers: usize,
     batch: usize,
     top: usize,
 }
 
 /// `/v1/cluster` ceilings: `top` bounds the per-cluster member lists in the
-/// response; `workers` bounds per-request thread fan-out.
+/// response; `workers` bounds per-request thread fan-out, whether asked for
+/// by count or resolved from `0`.
 const CLUSTER_MAX_TOP: usize = 100;
 const CLUSTER_MAX_WORKERS: usize = 64;
 
@@ -437,7 +439,7 @@ impl ClusterParams {
                 ))
             }
         };
-        let params = ClusterParams {
+        let mut params = ClusterParams {
             block,
             clusterer,
             threshold,
@@ -469,6 +471,7 @@ impl ClusterParams {
                 ),
             ));
         }
+        params.workers = worker_count(params.workers).min(CLUSTER_MAX_WORKERS);
         Ok(params)
     }
 
@@ -1267,25 +1270,47 @@ mod tests {
     fn cluster_workers_do_not_change_the_bytes() {
         let registry = registry();
         let one = r#"{"model":"FZ/Ditto","workers":1}"#;
-        let four = r#"{"model":"FZ/Ditto","workers":4,"batch":3}"#;
         let (_, a) = go(&registry, &req("POST", "/v1/cluster", one));
-        let (_, b) = go(&registry, &req("POST", "/v1/cluster", four));
         assert_eq!(a.status, 200);
-        // The cache line differs between a cold and a warm run; everything
-        // partition-shaped must not. Compare through the parsed documents.
-        let (a, b) = (parse_response(&a), parse_response(&b));
-        for field in [
-            "clusterer",
-            "threshold",
-            "candidates",
-            "match_edges",
-            "entities",
-            "non_singletons",
-            "largest",
-            "top",
+        let a = parse_response(&a);
+        for other in [
+            r#"{"model":"FZ/Ditto","workers":4,"batch":3}"#,
+            r#"{"model":"FZ/Ditto","workers":0,"batch":5}"#,
         ] {
-            assert_eq!(a.get(field), b.get(field), "{field}");
+            let (_, b) = go(&registry, &req("POST", "/v1/cluster", other));
+            assert_eq!(b.status, 200, "{other}");
+            // The cache line differs between a cold and a warm run;
+            // everything partition-shaped must not. Compare through the
+            // parsed documents.
+            let b = parse_response(&b);
+            for field in [
+                "clusterer",
+                "threshold",
+                "candidates",
+                "match_edges",
+                "entities",
+                "non_singletons",
+                "largest",
+                "top",
+            ] {
+                assert_eq!(a.get(field), b.get(field), "{other}: {field}");
+            }
         }
+    }
+
+    #[test]
+    fn cluster_worker_fan_out_is_bounded_after_resolution() {
+        let resolved = |body: &str| {
+            let json = Json::parse(body).unwrap();
+            ClusterParams::from_json(&json).unwrap().workers
+        };
+        // `0` resolves to one worker per core, and the ceiling bounds that
+        // as it bounds an explicit count.
+        let auto = resolved(r#"{"workers":0}"#);
+        assert_eq!(auto, worker_count(0).min(CLUSTER_MAX_WORKERS));
+        assert!((1..=CLUSTER_MAX_WORKERS).contains(&auto));
+        assert_eq!(resolved(r#"{}"#), 1, "the default stays one worker");
+        assert_eq!(resolved(r#"{"workers":64}"#), CLUSTER_MAX_WORKERS);
     }
 
     #[test]

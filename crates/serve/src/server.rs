@@ -180,7 +180,8 @@ impl Server {
             completions: Mutex::new(Vec::new()),
             wake: Mutex::new(wake_tx.try_clone()?),
         });
-        let workers: Vec<JoinHandle<()>> = (0..state.config().effective_http_workers())
+        let pool_size = certa_core::worker_count(state.config().http_workers);
+        let workers: Vec<JoinHandle<()>> = (0..pool_size)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 let state = Arc::clone(&state);

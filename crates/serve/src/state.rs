@@ -90,11 +90,12 @@ pub struct ServeConfig {
     pub tau: usize,
     /// Worker threads of `explain_batch`'s pair pool, which explains the
     /// pairs of one batch request (`/v1/explain_batch`, or `/v1/block` with
-    /// `explain_top`); 1 = one pair at a time. One explanation always runs
-    /// sequentially, and request-level parallelism comes from the HTTP
-    /// worker pool.
+    /// `explain_top`); 1 = one pair at a time, 0 = one per available core.
+    /// One explanation always runs sequentially, and request-level
+    /// parallelism comes from the HTTP worker pool.
     pub explain_workers: usize,
-    /// HTTP worker threads (0 = one per available core).
+    /// HTTP worker threads (0 = one per available core, resolved by
+    /// [`certa_core::worker_count`]).
     pub http_workers: usize,
     /// Cap on open connections (one more gets `503` at the door) and on
     /// parsed requests queued for the worker pool (`503` past it).
@@ -162,18 +163,7 @@ impl ServeConfig {
         CertaConfig::default()
             .with_triangles(self.tau)
             .with_seed(self.seed)
-            .with_workers(self.explain_workers.max(1))
-    }
-
-    /// Effective HTTP worker-pool size.
-    pub fn effective_http_workers(&self) -> usize {
-        if self.http_workers > 0 {
-            self.http_workers
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
+            .with_workers(self.explain_workers)
     }
 }
 
@@ -661,7 +651,7 @@ impl Registry {
         let store = self.store.as_ref()?;
         let (scale, seed) = (self.config.scale, self.config.seed);
         let canonical = format!("{}/{}", dataset_id.code(), kind.paper_name());
-        let query = build_signature(dataset, 1);
+        let query = build_signature(dataset);
         let owner = self as *const Registry as usize;
         // Scan outside the transfer lock (it reads every model artifact's
         // signature section), then install the index if still absent.

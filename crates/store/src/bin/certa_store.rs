@@ -177,7 +177,7 @@ fn search(args: &[String]) -> i32 {
         repo.len(),
         repo.skipped()
     );
-    let query = build_signature(&generate(id, scale, seed), 1);
+    let query = build_signature(&generate(id, scale, seed));
     for (sim, entry) in repo.nearest(&query, top) {
         println!(
             "{sim:.6}  {}  ({} {} seed {})",

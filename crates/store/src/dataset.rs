@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 /// Encode a dataset (schemas, records, splits, and its searchable
 /// signature). Deterministic: tables and splits are ordered collections
-/// and the signature build is worker-count-invariant, so same dataset,
+/// and the signature is a pure function of the dataset, so same dataset,
 /// same bytes.
 pub fn encode_dataset(d: &Dataset) -> Vec<u8> {
     let mut meta = Writer::new();
@@ -32,7 +32,7 @@ pub fn encode_dataset(d: &Dataset) -> Vec<u8> {
         (tag::SCHEMA_RIGHT, encode_schema(d.right().schema())),
         (tag::RECORDS_RIGHT, encode_records(d.right())),
         (tag::PAIRS, encode_pairs(d)),
-        (tag::SIGNATURE, encode_signature(&build_signature(d, 1))),
+        (tag::SIGNATURE, encode_signature(&build_signature(d))),
     ];
     write_container(ArtifactKind::Dataset, &sections)
 }
@@ -230,7 +230,7 @@ mod tests {
         let bytes = encode_dataset(&d);
         let sig = peek_dataset_signature(&bytes).unwrap().expect("embedded");
         assert_eq!(
-            sig.similarity(&build_signature(&d, 1)).to_bits(),
+            sig.similarity(&build_signature(&d)).to_bits(),
             1.0f64.to_bits(),
             "embedded signature matches a fresh build"
         );

@@ -495,7 +495,7 @@ mod tests {
             dataset: "FZ".to_string(),
             scale: "smoke".to_string(),
             seed: 4,
-            signature: crate::signature::build_signature(&d, 1),
+            signature: crate::signature::build_signature(&d),
         };
         let bytes = encode_er_model_signed(&model, &ms);
 

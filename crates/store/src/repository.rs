@@ -169,7 +169,7 @@ mod tests {
 
         // Nearest: a sibling seed of FZ beats nothing else only in rank
         // order; both hits rank above similarity floor expectations.
-        let query = build_signature(&generate(DatasetId::FZ, Scale::Smoke, 9), 1);
+        let query = build_signature(&generate(DatasetId::FZ, Scale::Smoke, 9));
         let hits = repo.nearest(&query, 10);
         assert_eq!(hits.len(), 2);
         let (top_sim, top) = &hits[0];
@@ -186,7 +186,7 @@ mod tests {
         save_signed(&store, DatasetId::AB, 7);
 
         let repo = Repository::scan(&store).unwrap();
-        let query = build_signature(&generate(DatasetId::FZ, Scale::Smoke, 8), 1);
+        let query = build_signature(&generate(DatasetId::FZ, Scale::Smoke, 8));
         let a: Vec<(u64, PathBuf)> = repo
             .nearest(&query, 5)
             .into_iter()

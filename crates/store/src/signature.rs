@@ -19,10 +19,10 @@
 //! - **symmetric**: `similarity(a, b)` equals `similarity(b, a)`
 //!   bit-for-bit (every merge walks both sides in one canonical sorted
 //!   order and combines with commutative float products);
-//! - **build-deterministic**: signatures built with 1, 2, or 8 workers
-//!   encode to byte-identical payloads (chunk partials merge with
-//!   commutative, associative operations: integer df sums and
-//!   coordinate-wise minima).
+//! - **build-deterministic**: a signature is a pure function of the
+//!   dataset's content (the build folds both tables into one set of
+//!   `BTreeMap` accumulators with integer df sums and coordinate-wise
+//!   minima).
 //!
 //! This module is covered by certa-lint's `no-nondeterminism` and
 //! `no-unordered-iteration` rules at deny level with zero suppressions:
@@ -32,7 +32,7 @@
 
 use crate::codec::{Reader, Writer};
 use crate::error::{Result, StoreError};
-use certa_core::hash::fx_hash_one;
+use certa_core::hash::{fx_hash_one, splitmix64};
 use certa_core::Dataset;
 use std::collections::BTreeMap;
 
@@ -44,15 +44,6 @@ pub const TOP_TOKENS: usize = 16;
 
 /// Seed for the per-coordinate MinHash permutations.
 const COORD_SEED: u64 = 0x51_67_4e_41_54_55_52_45; // "SIGNATURE" flavored
-
-/// SplitMix64 finalizer — the per-coordinate permutation of a token's base
-/// hash. Local on purpose: the store must not depend on the blocking crate.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// The token/IDF sketch of one schema attribute.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,27 +144,17 @@ impl AttrStats {
             df: BTreeMap::new(),
         }
     }
-
-    /// Commutative, associative merge — chunk boundaries cannot change the
-    /// result, which is what makes the build worker-count-invariant.
-    fn merge(&mut self, other: AttrStats) {
-        self.doc_count += other.doc_count;
-        for (slot, m) in self.minhash.iter_mut().zip(other.minhash) {
-            *slot = (*slot).min(m);
-        }
-        for (tok, n) in other.df {
-            *self.df.entry(tok).or_insert(0) += n;
-        }
-    }
 }
 
-/// Sketch one chunk of records against its table's attribute names.
+/// Fold one table's records into the per-attribute accumulators, pooled by
+/// attribute name. `splitmix64(base ^ salt)` is the per-coordinate
+/// permutation of a token's base hash.
 fn sketch_records(
+    acc: &mut BTreeMap<String, AttrStats>,
     names: &[String],
     records: &[certa_core::Record],
     salts: &[u64],
-) -> BTreeMap<String, AttrStats> {
-    let mut out: BTreeMap<String, AttrStats> = BTreeMap::new();
+) {
     for record in records {
         for (name, value) in names.iter().zip(record.values()) {
             let mut toks: Vec<&str> = value.clean_tokens().collect();
@@ -182,7 +163,7 @@ fn sketch_records(
             }
             toks.sort_unstable();
             toks.dedup();
-            let stats = out.entry(name.clone()).or_insert_with(AttrStats::new);
+            let stats = acc.entry(name.clone()).or_insert_with(AttrStats::new);
             stats.doc_count += 1;
             for tok in toks {
                 *stats.df.entry(tok.to_string()).or_insert(0) += 1;
@@ -196,68 +177,24 @@ fn sketch_records(
             }
         }
     }
-    out
 }
 
-/// Build a dataset's signature. `workers` only controls how record chunks
-/// are fanned out across threads — the result is byte-identical for any
-/// worker count (`0` means one).
-pub fn build_signature(dataset: &Dataset, workers: usize) -> Signature {
-    let workers = workers.max(1);
+/// Build a dataset's signature, sketching the left table and then the
+/// right one.
+pub fn build_signature(dataset: &Dataset) -> Signature {
     let salts: Vec<u64> = (0..MINHASH_COORDS)
         .map(|k| splitmix64(COORD_SEED ^ k as u64))
         .collect();
-    let tables = [dataset.left(), dataset.right()];
-
-    let mut partials: Vec<BTreeMap<String, AttrStats>> = Vec::new();
-    if workers == 1 {
-        for t in tables {
-            partials.push(sketch_records(t.schema().attr_names(), t.records(), &salts));
-        }
-    } else {
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in tables {
-                let names = t.schema().attr_names();
-                let records = t.records();
-                let chunk = records.len().div_ceil(workers).max(1);
-                for part in records.chunks(chunk) {
-                    let salts = &salts;
-                    handles.push(scope.spawn(move || sketch_records(names, part, salts)));
-                }
-            }
-            for h in handles {
-                // The sketch worker is panic-free; a poisoned handle is
-                // unreachable, and degrading to "skip" keeps this path
-                // typed-error-only rather than re-panicking.
-                if let Ok(p) = h.join() {
-                    partials.push(p);
-                }
-            }
-        });
-    }
-
     let mut merged: BTreeMap<String, AttrStats> = BTreeMap::new();
-    for partial in partials {
-        for (name, stats) in partial {
-            match merged.entry(name) {
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert(stats);
-                }
-                std::collections::btree_map::Entry::Occupied(mut o) => {
-                    o.get_mut().merge(stats);
-                }
-            }
-        }
-    }
-    // Schema attributes with zero tokens anywhere still appear (empty
-    // sketch), so attribute-name overlap is visible to `similarity`.
-    for t in tables {
-        for name in t.schema().attr_names() {
+    for t in [dataset.left(), dataset.right()] {
+        let names = t.schema().attr_names();
+        sketch_records(&mut merged, names, t.records(), &salts);
+        // Schema attributes with zero tokens anywhere still appear (empty
+        // sketch), so attribute-name overlap is visible to `similarity`.
+        for name in names {
             merged.entry(name.clone()).or_insert_with(AttrStats::new);
         }
     }
-
     let attributes = merged
         .into_iter()
         .map(|(name, stats)| {
@@ -461,7 +398,7 @@ mod tests {
     use certa_datagen::{generate, DatasetId, Scale};
 
     fn sig(id: DatasetId, seed: u64) -> Signature {
-        build_signature(&generate(id, Scale::Smoke, seed), 1)
+        build_signature(&generate(id, Scale::Smoke, seed))
     }
 
     #[test]
@@ -508,18 +445,6 @@ mod tests {
             fz7.similarity(&fz8),
             fz7.similarity(&ab7)
         );
-    }
-
-    #[test]
-    fn builds_are_byte_identical_across_worker_counts() {
-        for id in [DatasetId::FZ, DatasetId::AB] {
-            let d = generate(id, Scale::Smoke, 7);
-            let one = encode_signature(&build_signature(&d, 1));
-            for workers in [2, 3, 8] {
-                let many = encode_signature(&build_signature(&d, workers));
-                assert_eq!(one, many, "{id} with {workers} workers diverged");
-            }
-        }
     }
 
     #[test]

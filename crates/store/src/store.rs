@@ -160,7 +160,7 @@ impl ModelStore {
             dataset: id.code().to_string(),
             scale: scale.to_string(),
             seed,
-            signature: build_signature(dataset, 1),
+            signature: build_signature(dataset),
         };
         let path = self.model_path(id, kind, scale, seed);
         self.write_atomic(&path, &encode_er_model_signed(model, &ms))?;
