@@ -37,8 +37,10 @@ pub struct LshConfig {
     pub shingle: Shingle,
     /// Seed of the hash family. Same seed ⇒ same candidates, forever.
     pub seed: u64,
-    /// Signature-computation threads (`0` = one per core). Never affects
-    /// the output, only the wall clock.
+    /// Threads for MinHash signing (`0` = one per core): the per-record
+    /// shingle-set tasks and the per-coordinate-block tasks of
+    /// [`MinHasher::signatures`]. Never affects the output, only the wall
+    /// clock.
     pub workers: usize,
 }
 

@@ -19,19 +19,29 @@
 //!   and dropped entirely before `build` returns);
 //! * `candidates` dedupes probe tokens through the cached clean-token
 //!   spans of the interned values — the hot path allocates no `String`s
-//!   per probe token.
+//!   per probe token;
+//! * `candidates` counts shared tokens in a dense per-thread array indexed
+//!   by table position, reused from query to query and reset through the
+//!   list of positions the query touched — so a query costs the postings
+//!   it reads, never `|table|`. The array grows to the largest table the
+//!   thread has queried (4 bytes per record) and lives as long as the
+//!   thread.
 
 use crate::hash::FxHashMap;
 use crate::record::{Record, RecordId};
 use crate::table::Table;
+use std::cell::RefCell;
 
-/// Inverted index from token → record ids containing it, over one table.
+/// Inverted index from token → table positions of the records containing
+/// it, over one table.
 #[derive(Debug, Clone)]
 pub struct TokenIndex {
-    postings: FxHashMap<String, Vec<RecordId>>,
-    /// Tokens appearing in more than this many records are dropped at build
-    /// time (stop-word behaviour); queries therefore never see them.
-    max_posting: usize,
+    /// Ascending table positions per token. Tokens appearing in more than
+    /// `max_posting` records are dropped at build time (stop-word
+    /// behaviour); queries therefore never see them.
+    postings: FxHashMap<String, Vec<u32>>,
+    /// Table position → record id.
+    ids: Vec<RecordId>,
     /// Hyper-common tokens dropped at the end of `build`.
     stop_tokens: usize,
 }
@@ -49,29 +59,30 @@ impl TokenIndex {
     /// index is returned — so the finished index holds at most
     /// `max_posting` entries per surviving token and zero for stop words.
     pub fn build(table: &Table, max_posting: usize) -> Self {
-        let mut postings: FxHashMap<String, Vec<RecordId>> = FxHashMap::default();
-        for r in table.records() {
+        let mut postings: FxHashMap<String, Vec<u32>> = FxHashMap::default();
+        let ids: Vec<RecordId> = table.records().iter().map(Record::id).collect();
+        for (r, pos) in table.records().iter().zip(0u32..) {
             for value in r.values() {
                 // Cleaned tokens are cached on the interned value — indexing
                 // re-reads them instead of re-cleaning every string.
                 for tok in value.clean_tokens() {
                     match postings.get_mut(tok) {
-                        Some(ids) => {
+                        Some(positions) => {
                             // Past the cutoff this token can never drive a
                             // candidate; stop paying memory for it. (The +1
                             // overshoot is what marks the list as oversized
                             // for the retain pass below.)
-                            if ids.len() > max_posting {
+                            if positions.len() > max_posting {
                                 continue;
                             }
-                            if ids.last() != Some(&r.id()) {
-                                ids.push(r.id());
+                            if positions.last() != Some(&pos) {
+                                positions.push(pos);
                             }
                         }
                         None => {
                             // First sighting: the only point the token is
                             // materialized as an owned String.
-                            postings.insert(tok.to_string(), vec![r.id()]);
+                            postings.insert(tok.to_string(), vec![pos]);
                         }
                     }
                 }
@@ -79,60 +90,80 @@ impl TokenIndex {
         }
         let mut stop_tokens = 0usize;
         if max_posting != usize::MAX {
-            postings.retain(|_, ids| {
-                if ids.len() > max_posting {
+            postings.retain(|_, positions| {
+                if positions.len() > max_posting {
                     stop_tokens += 1;
                     false
                 } else {
-                    ids.shrink_to_fit();
+                    positions.shrink_to_fit();
                     true
                 }
             });
         }
         TokenIndex {
             postings,
-            max_posting,
+            ids,
             stop_tokens,
         }
     }
 
     /// Records sharing at least `min_overlap` distinct indexed tokens with
-    /// `probe`, ranked by descending overlap count. `exclude` (if given) is
-    /// removed from the results — used when searching support records
-    /// `w ∈ U \ {u}`.
+    /// `probe`, ranked by descending overlap count, then ascending id.
+    /// `exclude` (if given) is removed from the results — used when
+    /// searching support records `w ∈ U \ {u}`.
     ///
     /// Allocation discipline: probe tokens are deduped through the cached
     /// `&str` clean-token spans of the probe's interned values — no `String`
-    /// is built per probe token (pinned by `candidates_match_owned_dedupe`).
+    /// is built per probe token (pinned by `candidates_match_owned_dedupe`)
+    /// — and overlaps are counted in this thread's reused dense array (see
+    /// the module's scale contract).
     pub fn candidates(
         &self,
         probe: &Record,
         min_overlap: usize,
         exclude: Option<RecordId>,
     ) -> Vec<(RecordId, usize)> {
-        let mut counts: FxHashMap<RecordId, usize> = FxHashMap::default();
+        COUNTS.with(|counts| match counts.try_borrow_mut() {
+            Ok(mut counts) => self.count(&mut counts, probe, min_overlap, exclude),
+            Err(_) => self.count(&mut OverlapCounts::default(), probe, min_overlap, exclude),
+        })
+    }
+
+    /// [`TokenIndex::candidates`] on `buf`, which it leaves all zeros.
+    fn count(
+        &self,
+        buf: &mut OverlapCounts,
+        probe: &Record,
+        min_overlap: usize,
+        exclude: Option<RecordId>,
+    ) -> Vec<(RecordId, usize)> {
+        let OverlapCounts { counts, touched } = buf;
+        if counts.len() < self.ids.len() {
+            counts.resize(self.ids.len(), 0);
+        }
         let mut seen: crate::hash::FxHashSet<&str> = crate::hash::FxHashSet::default();
         for value in probe.values() {
             for tok in value.clean_tokens() {
                 if !seen.insert(tok) {
                     continue; // count each distinct probe token once
                 }
-                if let Some(ids) = self.postings.get(tok) {
-                    if ids.len() > self.max_posting {
-                        continue;
+                for &pos in self.postings.get(tok).into_iter().flatten() {
+                    let count = &mut counts[pos as usize];
+                    if *count == 0 {
+                        touched.push(pos);
                     }
-                    for &id in ids {
-                        if Some(id) != exclude {
-                            *counts.entry(id).or_insert(0) += 1;
-                        }
-                    }
+                    *count += 1;
                 }
             }
         }
-        let mut out: Vec<(RecordId, usize)> = counts
-            .into_iter()
-            .filter(|&(_, c)| c >= min_overlap)
-            .collect();
+        let mut out: Vec<(RecordId, usize)> = Vec::with_capacity(touched.len());
+        for pos in touched.drain(..) {
+            let count = std::mem::take(&mut counts[pos as usize]) as usize;
+            let id = self.ids[pos as usize];
+            if count >= min_overlap && Some(id) != exclude {
+                out.push((id, count));
+            }
+        }
         // Deterministic order: overlap desc, then id asc.
         out.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         out
@@ -155,6 +186,20 @@ impl TokenIndex {
     pub fn stop_token_count(&self) -> usize {
         self.stop_tokens
     }
+}
+
+/// One thread's overlap counters: `counts` is indexed by table position
+/// and is all zeros between queries; `touched` lists the positions the
+/// running query has counted, so resetting costs what counting did.
+#[derive(Debug, Default)]
+struct OverlapCounts {
+    counts: Vec<u32>,
+    touched: Vec<u32>,
+}
+
+thread_local! {
+    /// This thread's counters, reused by [`TokenIndex::candidates`].
+    static COUNTS: RefCell<OverlapCounts> = RefCell::new(OverlapCounts::default());
 }
 
 #[cfg(test)]
@@ -280,61 +325,77 @@ mod tests {
         assert_eq!(idx.stop_token_count(), 0);
     }
 
-    /// Before/after equivalence for the allocation-free probe dedupe: the
-    /// borrowed `&str` seen-set must produce exactly the results of the old
-    /// owned-`String` implementation on probes with repeated tokens across
-    /// and within attributes.
+    /// Before/after equivalence for the allocation-free probe dedupe and the
+    /// dense position-indexed counts: the results must equal the old
+    /// owned-`String` implementation's, which counted per record id in a
+    /// map, on probes with repeated tokens across and within attributes.
+    /// The second table's ids are a permutation of other numbers than its
+    /// positions (0 → 30, 1 → 81, 2 → 9, …), so a position read as an id,
+    /// or a tie ranked by position, fails.
     #[test]
     fn candidates_match_owned_dedupe() {
-        let schema = Schema::shared("U", ["name", "desc"]);
-        let records: Vec<Record> = (0..40u32)
-            .map(|i| {
-                Record::new(
-                    RecordId(i),
-                    vec![
-                        format!("brand{} tv model{}", i % 7, i),
-                        format!("brand{} premium tv", i % 7),
-                    ],
-                )
-            })
-            .collect();
-        let t = Table::from_records(schema, records).unwrap();
-        for max_posting in [usize::MAX, 8, 3, 1] {
-            let idx = TokenIndex::build(&t, max_posting);
-            for probe_id in [0u32, 3, 13, 39] {
-                let probe = t.expect(RecordId(probe_id)).clone();
-                for min_overlap in [1usize, 2, 3] {
-                    let fast = idx.candidates(&probe, min_overlap, Some(probe.id()));
-                    // Reference: the pre-fix owned-String dedupe semantics.
-                    let mut counts: FxHashMap<RecordId, usize> = FxHashMap::default();
-                    let mut seen: crate::hash::FxHashSet<String> =
-                        crate::hash::FxHashSet::default();
-                    for value in probe.values() {
-                        for tok in value.clean_tokens() {
-                            if !seen.insert(tok.to_string()) {
-                                continue;
-                            }
-                            if let Some(ids) = idx.postings.get(tok) {
-                                if ids.len() > max_posting {
+        let identity = |i: u32| i;
+        let scattered = |i: u32| 3 * ((i * 17 + 10) % 41);
+        for id_of in [&identity as &dyn Fn(u32) -> u32, &scattered] {
+            let schema = Schema::shared("U", ["name", "desc"]);
+            let records: Vec<Record> = (0..40u32)
+                .map(|i| {
+                    Record::new(
+                        RecordId(id_of(i)),
+                        vec![
+                            format!("brand{} tv model{}", i % 7, i),
+                            format!("brand{} premium tv", i % 7),
+                        ],
+                    )
+                })
+                .collect();
+            let t = Table::from_records(schema, records).unwrap();
+            for max_posting in [usize::MAX, 8, 3, 1] {
+                let idx = TokenIndex::build(&t, max_posting);
+                for probe_pos in [0usize, 3, 13, 39] {
+                    let probe = t.records()[probe_pos].clone();
+                    for (min_overlap, exclude) in [1usize, 2, 3]
+                        .into_iter()
+                        .flat_map(|m| [(m, Some(probe.id())), (m, None)])
+                    {
+                        let fast = idx.candidates(&probe, min_overlap, exclude);
+                        // Reference: the pre-fix owned-String dedupe and
+                        // per-id map, with each posted position mapped back
+                        // to its record's id through the table.
+                        let mut counts: FxHashMap<RecordId, usize> = FxHashMap::default();
+                        let mut seen: crate::hash::FxHashSet<String> =
+                            crate::hash::FxHashSet::default();
+                        for value in probe.values() {
+                            for tok in value.clean_tokens() {
+                                if !seen.insert(tok.to_string()) {
                                     continue;
                                 }
-                                for &id in ids {
-                                    if id != probe.id() {
-                                        *counts.entry(id).or_insert(0) += 1;
+                                if let Some(positions) = idx.postings.get(tok) {
+                                    if positions.len() > max_posting {
+                                        continue;
+                                    }
+                                    for &pos in positions {
+                                        let id = t.records()[pos as usize].id();
+                                        if Some(id) != exclude {
+                                            *counts.entry(id).or_insert(0) += 1;
+                                        }
                                     }
                                 }
                             }
                         }
+                        let mut expected: Vec<(RecordId, usize)> = counts
+                            .into_iter()
+                            .filter(|&(_, c)| c >= min_overlap)
+                            .collect();
+                        expected.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                        assert_eq!(
+                            fast,
+                            expected,
+                            "ids {:?} probe {probe_pos} min_overlap {min_overlap} \
+                             exclude {exclude:?} max_posting {max_posting}",
+                            t.records()[1].id()
+                        );
                     }
-                    let mut expected: Vec<(RecordId, usize)> = counts
-                        .into_iter()
-                        .filter(|&(_, c)| c >= min_overlap)
-                        .collect();
-                    expected.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-                    assert_eq!(
-                        fast, expected,
-                        "probe {probe_id} min_overlap {min_overlap} max_posting {max_posting}"
-                    );
                 }
             }
         }

@@ -2,10 +2,11 @@
 //!
 //! Every loop that spreads independent work over threads runs on
 //! [`run_indexed`]: `explain_batch` over pairs, the evaluation grid over
-//! datasets, MinHash signing over records and cluster scoring over
-//! candidate chunks. Each task sees only its index and results come back in
-//! index order, so "output never depends on the worker count" is a property
-//! of this one function. [`worker_count`] is the one rule for resolving a
+//! datasets, MinHash signing over records and then over blocks of
+//! signature coordinates, and cluster scoring over candidate chunks. Each
+//! task sees only its index and results come back in index order, so
+//! "output never depends on the worker count" is a property of this one
+//! function. [`worker_count`] is the one rule for resolving a
 //! requested count: `0` means one worker per available core.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
