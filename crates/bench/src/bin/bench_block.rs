@@ -12,20 +12,21 @@
 //! 2. **reduction** — the candidate list must be ≥ [`REQUIRED_REDUCTION`]×
 //!    smaller than `|U| × |V|` at default scale and above (smoke tables are
 //!    too small for 100× — [`SMOKE_REDUCTION`] applies there);
-//! 3. **determinism** — two runs must produce byte-identical candidate
-//!    lists.
+//! 3. **determinism** — every blocker's [`RUNS`] runs must produce
+//!    byte-identical candidate lists.
 //!
 //! The surviving candidates then stream through the block → score pipeline
-//! behind a [`CachingMatcher`] to report end-to-end throughput. Writes
-//! `BENCH_block.json`; any gate failure exits non-zero.
+//! behind a fresh [`CachingMatcher`] per run to report end-to-end
+//! throughput. Times are medians of [`RUNS`] runs, so one slow run on a
+//! shared machine does not move them. Writes `BENCH_block.json`; any gate
+//! failure exits non-zero.
 
-use certa_bench::{banner, write_bench_json, CliOptions};
+use certa_bench::{banner, percentile, write_bench_json, CliOptions};
 use certa_block::{
     cross_product, reduction_ratio, run_pipeline_on, Blocker, LshBlocker, LshConfig, MultiPass,
-    PipelineConfig, SortedNeighborhood, TokenOverlap, TokenPrefix,
+    PipelineConfig, SortedNeighborhood, TokenOverlap, TokenPrefix, TruthRecall,
 };
-use certa_core::hash::FxHashSet;
-use certa_core::{BoxedMatcher, Dataset, RecordPair, Split};
+use certa_core::BoxedMatcher;
 use certa_datagen::{generate, DatasetId, Scale};
 use certa_models::{CachingMatcher, RuleMatcher};
 use certa_serve::Json;
@@ -38,34 +39,9 @@ const REQUIRED_RECALL: f64 = 0.95;
 const REQUIRED_REDUCTION: f64 = 100.0;
 /// Smoke tables (tens of records) cannot shrink 100×; require this instead.
 const SMOKE_REDUCTION: f64 = 20.0;
-
-/// Ground-truth matched pairs: the positive-labeled pairs of both splits.
-fn truth_pairs(dataset: &Dataset) -> FxHashSet<RecordPair> {
-    let mut truth = FxHashSet::default();
-    for split in [Split::Train, Split::Test] {
-        for lp in dataset.split(split) {
-            if lp.label.is_match() {
-                truth.insert(lp.pair);
-            }
-        }
-    }
-    truth
-}
-
-fn recall(candidates: &[RecordPair], truth: &FxHashSet<RecordPair>) -> f64 {
-    if truth.is_empty() {
-        return 1.0;
-    }
-    let hit = truth
-        .iter()
-        .filter(|p| {
-            candidates
-                .binary_search_by_key(&(p.left.0, p.right.0), |c| (c.left.0, c.right.0))
-                .is_ok()
-        })
-        .count();
-    hit as f64 / truth.len() as f64
-}
+/// Runs of each blocker and of the scoring pipeline; times are their
+/// medians.
+const RUNS: usize = 5;
 
 fn main() {
     let opts = CliOptions::from_env();
@@ -74,12 +50,12 @@ fn main() {
     let t0 = Instant::now();
     let dataset = generate(DatasetId::DS, opts.scale, opts.seed);
     let cross = cross_product(dataset.left(), dataset.right());
-    let truth = truth_pairs(&dataset);
+    // The recall of no candidates counts the labeled matches.
+    let truth = TruthRecall::of(&dataset, &[]).truth;
     println!(
-        "dataset=DS |U|={} |V|={} cross={cross} truth={} generated in {:.2}s",
+        "dataset=DS |U|={} |V|={} cross={cross} truth={truth} generated in {:.2}s",
         dataset.left().len(),
         dataset.right().len(),
-        truth.len(),
         t0.elapsed().as_secs_f64()
     );
     println!();
@@ -101,13 +77,21 @@ fn main() {
     };
 
     let mut rows = Vec::new();
-    let mut gated: Option<(Vec<RecordPair>, f64, f64)> = None;
+    let mut gated = None;
     let mut determinism_pass = true;
     for (i, blocker) in blockers.iter().enumerate() {
-        let t = Instant::now();
-        let candidates = blocker.candidates(dataset.left(), dataset.right());
-        let block_s = t.elapsed().as_secs_f64();
-        let r = recall(&candidates, &truth);
+        let mut seconds = Vec::with_capacity(RUNS);
+        let mut lists = Vec::with_capacity(RUNS);
+        for _ in 0..RUNS {
+            let t = Instant::now();
+            lists.push(blocker.candidates(dataset.left(), dataset.right()));
+            seconds.push(t.elapsed().as_secs_f64());
+        }
+        // Gate 3: every run reproduces the candidate list exactly.
+        determinism_pass &= lists.windows(2).all(|w| w[0] == w[1]);
+        let candidates = lists.swap_remove(0);
+        let block_s = percentile(&seconds, 0.5);
+        let r = TruthRecall::of(&dataset, &candidates).ratio();
         let reduction = reduction_ratio(cross, candidates.len());
         println!(
             "{:>12}: {:>9} candidates | reduction {reduction:9.1}x | recall {r:.4} | {block_s:7.3}s{}",
@@ -116,12 +100,6 @@ fn main() {
             if i == gated_index { "  ← gated" } else { "" },
         );
         println!("              {}", blocker.name());
-        if i == gated_index {
-            // Gate 3: a second run must reproduce the candidate list exactly.
-            let rerun = blocker.candidates(dataset.left(), dataset.right());
-            determinism_pass = rerun == candidates;
-            gated = Some((candidates.clone(), r, reduction));
-        }
         rows.push((
             blocker.name(),
             Json::obj([
@@ -132,25 +110,34 @@ fn main() {
                 ("gated", Json::Bool(i == gated_index)),
             ]),
         ));
+        if i == gated_index {
+            gated = Some((candidates, r, reduction));
+        }
     }
     let (candidates, gate_recall, gate_reduction) = gated.expect("gated blocker ran");
 
     // Throughput: the surviving candidates through the score pipeline on
-    // the sharded caching path.
-    let matcher = CachingMatcher::new(Arc::new(RuleMatcher::uniform(
-        dataset.left().schema().arity(),
-    )) as BoxedMatcher);
-    let t = Instant::now();
-    let report = run_pipeline_on(
-        candidates,
-        blockers[gated_index].name(),
-        &dataset,
-        &matcher,
-        None,
-        &PipelineConfig::default(),
-    );
-    let score_s = t.elapsed().as_secs_f64();
-    let pairs_per_s = report.scored as f64 / score_s.max(1e-9);
+    // the sharded caching path, cold each run.
+    let rule: BoxedMatcher = Arc::new(RuleMatcher::uniform(dataset.left().schema().arity()));
+    let mut rates = Vec::with_capacity(RUNS);
+    let mut report = None;
+    for _ in 0..RUNS {
+        let matcher = CachingMatcher::new(Arc::clone(&rule));
+        let to_score = candidates.clone();
+        let t = Instant::now();
+        let run = run_pipeline_on(
+            to_score,
+            blockers[gated_index].name(),
+            &dataset,
+            &matcher,
+            None,
+            &PipelineConfig::default(),
+        );
+        rates.push(run.scored as f64 / t.elapsed().as_secs_f64().max(1e-9));
+        report = Some(run);
+    }
+    let report = report.expect("the pipeline ran");
+    let pairs_per_s = percentile(&rates, 0.5);
 
     let recall_pass = gate_recall >= REQUIRED_RECALL;
     let reduction_pass = gate_reduction >= required_reduction;
@@ -165,11 +152,11 @@ fn main() {
         opts.scale
     );
     println!(
-        "determinism: {} (two runs, byte-identical candidates)",
+        "determinism: {} ({RUNS} runs of every blocker, byte-identical candidates)",
         if determinism_pass { "PASS" } else { "FAIL" }
     );
     println!(
-        "throughput : {} candidates scored in {score_s:.2}s ({pairs_per_s:.0} pairs/s, {} predicted matches)",
+        "throughput : {} candidates scored at a median {pairs_per_s:.0} pairs/s over {RUNS} runs ({} predicted matches)",
         report.scored, report.predicted_matches
     );
 
@@ -179,7 +166,7 @@ fn main() {
         ("scale", Json::str(opts.scale.to_string())),
         ("seed", Json::num(opts.seed as f64)),
         ("cross_product", Json::num(cross as f64)),
-        ("truth_pairs", Json::num(truth.len() as f64)),
+        ("truth_pairs", Json::num(truth as f64)),
         ("required_recall", Json::Num(REQUIRED_RECALL)),
         ("required_reduction", Json::Num(required_reduction)),
         ("recall", Json::Num(gate_recall)),

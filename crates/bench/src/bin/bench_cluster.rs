@@ -20,7 +20,7 @@
 use certa_bench::{banner, write_bench_json, CliOptions};
 use certa_block::{Blocker, MultiPass};
 use certa_cluster::{
-    cluster_f1, find_disconnect_edit, pairwise_prf, run_cluster_pipeline_cached, truth_partition,
+    cluster_f1, find_disconnect_edit, pairwise_prf, run_cluster_pipeline, truth_partition,
     verify_disconnect, ClusterConfig, Clusterer, ConnectedComponents, MatchMerge, Partition,
 };
 use certa_core::BoxedMatcher;
@@ -73,15 +73,14 @@ fn main() {
     let mut all_pass = true;
     for clusterer in &clusterers {
         let run = |workers: usize| {
-            run_cluster_pipeline_cached(
+            run_cluster_pipeline(
                 &dataset,
                 &cache,
                 &candidates,
-                blocker.name().to_string(),
+                blocker.name(),
                 clusterer.as_ref(),
                 &ClusterConfig {
                     threshold: THRESHOLD,
-                    batch_size: 4096,
                     workers,
                 },
             )

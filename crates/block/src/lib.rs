@@ -26,6 +26,11 @@
 //!   (document-frequency order), with a stop-word cap mirroring
 //!   `TokenIndex`'s `max_posting`.
 //!
+//! [`BlockerSpec`] is the one name → blocker table: `certa-serve`'s
+//! `/v1/block` and `/v1/cluster` and the `certa-block` binary all build
+//! their blocker through it. [`TruthRecall`] measures a candidate list
+//! against a generated dataset's labeled matches.
+//!
 //! # Determinism contract
 //!
 //! Every blocker is a pure function of `(tables, config, seed)`. Hash
@@ -43,11 +48,10 @@ pub mod pipeline;
 pub use baselines::{SortedNeighborhood, TokenOverlap, TokenPrefix};
 pub use lsh::{LshBlocker, LshConfig};
 pub use minhash::{jaccard_sorted, MinHasher, Shingle};
-pub use pipeline::{
-    run_pipeline, run_pipeline_cached, run_pipeline_on, PipelineConfig, PipelineReport, ScoredPair,
-};
+pub use pipeline::{run_pipeline_on, PipelineConfig, PipelineReport, ScoredPair};
 
-use certa_core::{RecordId, RecordPair, Table};
+use certa_core::{Dataset, RecordId, RecordPair, Split, Table};
+use std::fmt;
 
 /// A candidate-pair generator over two tables.
 ///
@@ -111,6 +115,115 @@ impl Blocker for MultiPass {
     }
 }
 
+/// Every tunable the five blockers take, and the name that picks one of
+/// them. [`BlockerSpec::build`] holds the one table from names to
+/// blockers; the tunables of the blockers the name does not pick are
+/// ignored, and `multi` is always [`MultiPass::standard`].
+#[derive(Debug, Clone)]
+pub struct BlockerSpec {
+    /// `multi`, `lsh`, `token-overlap` (alias `overlap`),
+    /// `sorted-neighborhood` (alias `sn`) or `token-prefix` (alias
+    /// `prefix`).
+    pub name: String,
+    /// Tunables of `lsh`.
+    pub lsh: LshConfig,
+    /// Tunables of `token-overlap`.
+    pub overlap: TokenOverlap,
+    /// Tunables of `sorted-neighborhood`.
+    pub neighborhood: SortedNeighborhood,
+    /// Tunables of `token-prefix`.
+    pub prefix: TokenPrefix,
+}
+
+/// Why a [`BlockerSpec`] built no blocker.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SpecError {
+    /// The name is not in the table.
+    UnknownName(String),
+    /// The named blocker rejected its tunables.
+    BadConfig(String),
+}
+
+impl fmt::Display for SpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpecError::UnknownName(msg) | SpecError::BadConfig(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl BlockerSpec {
+    /// The blocker called `name`, with every tunable at its default.
+    pub fn named(name: impl Into<String>) -> BlockerSpec {
+        BlockerSpec {
+            name: name.into(),
+            lsh: LshConfig::default(),
+            overlap: TokenOverlap::default(),
+            neighborhood: SortedNeighborhood::default(),
+            prefix: TokenPrefix::default(),
+        }
+    }
+
+    /// Build the named blocker from its tunables.
+    pub fn build(&self) -> Result<Box<dyn Blocker>, SpecError> {
+        Ok(match self.name.as_str() {
+            "multi" => Box::new(MultiPass::standard()),
+            "lsh" => Box::new(LshBlocker::new(self.lsh).map_err(SpecError::BadConfig)?),
+            "token-overlap" | "overlap" => Box::new(self.overlap),
+            "sorted-neighborhood" | "sn" => Box::new(self.neighborhood),
+            "token-prefix" | "prefix" => Box::new(self.prefix),
+            other => {
+                return Err(SpecError::UnknownName(format!(
+                    "unknown blocker `{other}` (expected multi, lsh, token-overlap, \
+                     sorted-neighborhood, or token-prefix)"
+                )))
+            }
+        })
+    }
+}
+
+/// How many of a dataset's labeled matches a candidate list keeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TruthRecall {
+    /// Distinct labeled matches among the candidates.
+    pub kept: usize,
+    /// Distinct labeled matches of the train and test splits.
+    pub truth: usize,
+}
+
+impl TruthRecall {
+    /// Measure `candidates`, in the blocker contract's order, against
+    /// `dataset`'s matches.
+    pub fn of(dataset: &Dataset, candidates: &[RecordPair]) -> TruthRecall {
+        let key = |p: &RecordPair| (p.left.0, p.right.0);
+        let mut truth: Vec<(u32, u32)> = [Split::Train, Split::Test]
+            .into_iter()
+            .flat_map(|s| dataset.split(s))
+            .filter(|lp| lp.label.is_match())
+            .map(|lp| key(&lp.pair))
+            .collect();
+        truth.sort_unstable();
+        truth.dedup();
+        let kept = truth
+            .iter()
+            .filter(|t| candidates.binary_search_by_key(*t, key).is_ok())
+            .count();
+        TruthRecall {
+            kept,
+            truth: truth.len(),
+        }
+    }
+
+    /// `kept / truth`; 1 when the dataset has no matches.
+    pub fn ratio(&self) -> f64 {
+        if self.truth == 0 {
+            1.0
+        } else {
+            self.kept as f64 / self.truth as f64
+        }
+    }
+}
+
 /// Canonicalize raw `(left id, right id)` emissions into the contract form:
 /// sorted ascending, deduplicated, converted to [`RecordPair`].
 pub(crate) fn finish_pairs(mut raw: Vec<(u32, u32)>) -> Vec<RecordPair> {
@@ -152,6 +265,50 @@ mod tests {
                 RecordPair::new(RecordId(3), RecordId(1)),
             ]
         );
+    }
+
+    #[test]
+    fn every_blocker_name_and_alias_builds() {
+        let canonical = [
+            ("multi", "multi"),
+            ("lsh", "lsh"),
+            ("token-overlap", "token-overlap"),
+            ("overlap", "token-overlap"),
+            ("sorted-neighborhood", "sorted-neighborhood"),
+            ("sn", "sorted-neighborhood"),
+            ("token-prefix", "token-prefix"),
+            ("prefix", "token-prefix"),
+        ];
+        for (name, canon) in canonical {
+            let built = BlockerSpec::named(name).build().expect(name).name();
+            let expected = BlockerSpec::named(canon).build().expect(canon).name();
+            assert_eq!(built, expected, "{name}");
+        }
+        assert!(matches!(
+            BlockerSpec::named("nope").build(),
+            Err(SpecError::UnknownName(_))
+        ));
+        let mut bad = BlockerSpec::named("lsh");
+        bad.lsh.num_bands = 7;
+        assert!(matches!(bad.build(), Err(SpecError::BadConfig(_))));
+    }
+
+    #[test]
+    fn truth_recall_counts_kept_matches() {
+        use certa_datagen::{generate, DatasetId, Scale};
+        let ds = generate(DatasetId::DS, Scale::Smoke, 7);
+        let mut all = Vec::new();
+        for u in ds.left().records() {
+            for v in ds.right().records() {
+                all.push(RecordPair::new(u.id(), v.id()));
+            }
+        }
+        all.sort_unstable_by_key(|p| (p.left.0, p.right.0));
+        let full = TruthRecall::of(&ds, &all);
+        assert!(full.truth > 0);
+        assert_eq!((full.kept, full.ratio()), (full.truth, 1.0));
+        let none = TruthRecall::of(&ds, &[]);
+        assert_eq!((none.kept, none.truth, none.ratio()), (0, full.truth, 0.0));
     }
 
     #[test]

@@ -1,28 +1,29 @@
 //! The streaming block → score → explain pipeline.
 //!
-//! [`run_pipeline`] is the end-to-end path a million-record deployment
-//! runs: a [`Blocker`] shrinks `|U| × |V|` to a candidate list, the
-//! candidates stream through [`certa_core::Matcher::score_batch`] in
-//! bounded batches, each pair scored by `score` (wrap the model in
+//! [`run_pipeline_on`] is the end-to-end path a million-record deployment
+//! runs after a [`crate::Blocker`] has shrunk `|U| × |V|` to a candidate
+//! list: the candidates stream through
+//! [`certa_core::Matcher::score_batch`] in chunks of 4,096 pairs, each
+//! pair scored by `score` (wrap the model in
 //! [`certa_models::CachingMatcher`] to memoize repeats), a bounded top-`k`
 //! heap survives, and the best few pairs optionally go through
 //! [`certa_explain::Certa::explain_batch`].
 //!
-//! Memory stays `O(candidates + batch_size + top_k)` — scores are folded
-//! into counters and the pruned top list as each batch completes, never
-//! accumulated wholesale.
+//! Memory stays `O(candidates + top_k)` — scores are folded into counters
+//! and the pruned top list as each chunk completes, never accumulated
+//! wholesale.
 
-use crate::{cross_product, reduction_ratio, Blocker};
+use crate::{cross_product, reduction_ratio};
 use certa_core::{Dataset, MatchLabel, Matcher, Record, RecordPair};
 use certa_explain::{Certa, CertaExplanation};
-use certa_models::{CacheStats, CachingMatcher};
 
-/// Tuning knobs for [`run_pipeline`].
+/// Candidates scored per `score_batch` call; bounds the scores held at
+/// once.
+const CHUNK: usize = 4096;
+
+/// Tuning knobs for [`run_pipeline_on`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
-    /// Candidates scored per `score_batch` call; bounds the scores held
-    /// at once.
-    pub batch_size: usize,
     /// How many of the highest-scoring pairs to keep in the report.
     pub top_k: usize,
     /// How many of the top pairs to explain with CERTA (requires an
@@ -33,7 +34,6 @@ pub struct PipelineConfig {
 impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
-            batch_size: 4096,
             top_k: 100,
             explain_top: 0,
         }
@@ -70,10 +70,6 @@ pub struct PipelineReport {
     /// CERTA explanations for the first `explain_top` entries of `top`,
     /// in the same order.
     pub explanations: Vec<(RecordPair, CertaExplanation)>,
-    /// Score-cache traffic attributable to this run (present on the
-    /// [`run_pipeline_cached`] path; `None` when scoring went straight to
-    /// the model).
-    pub cache: Option<CacheStats>,
 }
 
 /// Deterministic top-`k` order: score descending, then pair ids ascending.
@@ -83,24 +79,8 @@ fn top_order(a: &ScoredPair, b: &ScoredPair) -> std::cmp::Ordering {
         .then_with(|| (a.pair.left, a.pair.right).cmp(&(b.pair.left, b.pair.right)))
 }
 
-/// Run block → score → explain over a dataset's two tables.
-///
-/// Convenience wrapper over [`run_pipeline_on`] that asks `blocker` for the
-/// candidates first.
-pub fn run_pipeline(
-    blocker: &dyn Blocker,
-    dataset: &Dataset,
-    matcher: &dyn Matcher,
-    certa: Option<&Certa>,
-    cfg: &PipelineConfig,
-) -> PipelineReport {
-    let candidates = blocker.candidates(dataset.left(), dataset.right());
-    run_pipeline_on(candidates, blocker.name(), dataset, matcher, certa, cfg)
-}
-
-/// Run score → explain over an already-generated candidate list (the entry
-/// point for callers that need the candidate set for their own accounting,
-/// e.g. `bench_block`'s recall gate).
+/// Run score → explain over the candidate list the blocker called
+/// `blocker_name` generated from `dataset`'s two tables.
 pub fn run_pipeline_on(
     candidates: Vec<RecordPair>,
     blocker_name: String,
@@ -110,13 +90,12 @@ pub fn run_pipeline_on(
     cfg: &PipelineConfig,
 ) -> PipelineReport {
     let cross = cross_product(dataset.left(), dataset.right());
-    let batch = cfg.batch_size.max(1);
     let mut predicted_matches = 0usize;
     let mut top: Vec<ScoredPair> = Vec::new();
     // Prune threshold: keeping a few batches' worth bounds sort cost while
     // guaranteeing the true top_k always survives a prune.
     let keep = cfg.top_k.max(1);
-    for chunk in candidates.chunks(batch) {
+    for chunk in candidates.chunks(CHUNK) {
         let refs: Vec<(&Record, &Record)> = chunk
             .iter()
             .map(|p| {
@@ -172,37 +151,15 @@ pub fn run_pipeline_on(
         predicted_matches,
         top,
         explanations,
-        cache: None,
     }
-}
-
-/// [`run_pipeline_on`] through a [`CachingMatcher`], with the cache
-/// hit/miss delta of exactly this run surfaced in the report — repeated
-/// runs over the same candidates (a re-block at new settings, a second
-/// serve request) show their score-cache reuse instead of silently
-/// rescoring already-cached pairs.
-pub fn run_pipeline_cached(
-    candidates: Vec<RecordPair>,
-    blocker_name: String,
-    dataset: &Dataset,
-    cache: &CachingMatcher,
-    certa: Option<&Certa>,
-    cfg: &PipelineConfig,
-) -> PipelineReport {
-    let before = cache.stats();
-    let mut report = run_pipeline_on(candidates, blocker_name, dataset, &cache, certa, cfg);
-    let after = cache.stats();
-    report.cache = Some(CacheStats {
-        hits: after.hits - before.hits,
-        misses: after.misses - before.misses,
-    });
-    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Blocker;
     use certa_core::{FnMatcher, Record, RecordId, Schema, Table};
+    use certa_models::CachingMatcher;
 
     fn dataset() -> Dataset {
         let schema = Schema::shared("T", ["text"]);
@@ -241,13 +198,13 @@ mod tests {
     fn pipeline_scores_candidates_and_ranks_them() {
         let ds = dataset();
         let blocker = crate::MultiPass::standard();
-        let report = run_pipeline(
-            &blocker,
+        let report = run_pipeline_on(
+            blocker.candidates(ds.left(), ds.right()),
+            blocker.name(),
             &ds,
             &matcher(),
             None,
             &PipelineConfig {
-                batch_size: 2,
                 top_k: 3,
                 explain_top: 0,
             },
@@ -270,53 +227,23 @@ mod tests {
     }
 
     #[test]
-    fn tiny_batches_match_one_big_batch() {
-        let ds = dataset();
-        let blocker = crate::MultiPass::standard();
-        let m = matcher();
-        let big = run_pipeline(
-            &blocker,
-            &ds,
-            &m,
-            None,
-            &PipelineConfig {
-                batch_size: 100_000,
-                top_k: 10,
-                explain_top: 0,
-            },
-        );
-        let small = run_pipeline(
-            &blocker,
-            &ds,
-            &m,
-            None,
-            &PipelineConfig {
-                batch_size: 1,
-                top_k: 10,
-                explain_top: 0,
-            },
-        );
-        assert_eq!(big.top, small.top, "batch size never changes the output");
-        assert_eq!(big.predicted_matches, small.predicted_matches);
-    }
-
-    #[test]
     fn cached_pipeline_reports_reuse() {
         let ds = dataset();
         let blocker = crate::MultiPass::standard();
         let candidates = blocker.candidates(ds.left(), ds.right());
         let cache = CachingMatcher::new(std::sync::Arc::new(matcher()));
         let cfg = PipelineConfig::default();
-        let first =
-            run_pipeline_cached(candidates.clone(), blocker.name(), &ds, &cache, None, &cfg);
-        let stats = first.cache.expect("cached path reports stats");
+        let run = |candidates| {
+            cache
+                .stats_over(|| run_pipeline_on(candidates, blocker.name(), &ds, &cache, None, &cfg))
+        };
+        let (first, stats) = run(candidates.clone());
         assert_eq!(
             stats.misses, first.scored as u64,
             "cold cache scores every pair"
         );
         assert_eq!(stats.hits, 0);
-        let second = run_pipeline_cached(candidates, blocker.name(), &ds, &cache, None, &cfg);
-        let stats = second.cache.expect("cached path reports stats");
+        let (second, stats) = run(candidates);
         assert_eq!(stats.misses, 0);
         assert_eq!(
             stats.hits, second.scored as u64,

@@ -8,21 +8,23 @@
 //!
 //! The binary generates the two tables at the requested scale, blocks them
 //! with the standard multi-pass blocker, scores the candidates through a
-//! [`certa_models::CachingMatcher`]-wrapped model, resolves entities with
-//! the selected clusterer, reports pairwise and cluster F1 against the
-//! generator's ground truth, and (optionally) explains one record's cluster
-//! membership — edge evidence, bridges, per-edge saliency, and the
-//! ψ-counterfactual attribute edit that disconnects it.
+//! [`certa_models::CachingMatcher`]-wrapped model (`--model` resolves
+//! through [`certa_models::matcher_by_name`]), resolves entities with the
+//! selected clusterer (`--clusterer` resolves through
+//! [`certa_cluster::clusterer_by_name`]), reports pairwise and cluster F1
+//! against the generator's ground truth, and (optionally) explains one
+//! record's cluster membership — edge evidence, bridges, per-edge
+//! saliency, and the ψ-counterfactual attribute edit that disconnects it.
 
 use certa_block::{Blocker, MultiPass};
 use certa_cluster::{
-    cluster_f1, explain_membership, pairwise_prf, run_cluster_pipeline_cached, truth_partition,
-    ClusterConfig, ClusterNode, Clusterer, ConnectedComponents, MatchMerge,
+    cluster_f1, clusterer_by_name, explain_membership, pairwise_prf, run_cluster_pipeline,
+    truth_partition, ClusterConfig, ClusterNode,
 };
-use certa_core::{BoxedMatcher, Dataset, RecordId, Side};
+use certa_core::{RecordId, Side};
 use certa_datagen::{generate, DatasetId, Scale};
 use certa_explain::{Certa, CertaConfig};
-use certa_models::{train_model, CachingMatcher, ModelKind, RuleMatcher, TrainConfig};
+use certa_models::{matcher_by_name, CachingMatcher};
 use std::time::Instant;
 
 struct Options {
@@ -32,7 +34,6 @@ struct Options {
     model: String,
     clusterer: String,
     threshold: f64,
-    batch: usize,
     workers: usize,
     top: usize,
     explain_side: Option<Side>,
@@ -49,7 +50,6 @@ impl Default for Options {
             model: "rule".to_string(),
             clusterer: "components".to_string(),
             threshold: ClusterConfig::default().threshold,
-            batch: 4096,
             workers: 1,
             top: 10,
             explain_side: None,
@@ -62,7 +62,7 @@ impl Default for Options {
 const USAGE: &str = "usage: certa-cluster [--dataset ID] \
 [--scale smoke|default|paper|xl] [--seed N] \
 [--model rule|deeper|deepmatcher|ditto] [--clusterer components|matchmerge] \
-[--threshold F] [--batch N] [--workers N] [--top N] \
+[--threshold F] [--workers N] [--top N] \
 [--explain-side L|R] [--explain-id N] [--saliency-top N]";
 
 fn parse_options(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
@@ -79,11 +79,6 @@ fn parse_options(args: impl IntoIterator<Item = String>) -> Result<Options, Stri
             "--threshold" => {
                 o.threshold = val("--threshold")?
                     .parse::<f64>()
-                    .map_err(|e| e.to_string())?
-            }
-            "--batch" => {
-                o.batch = val("--batch")?
-                    .parse::<usize>()
                     .map_err(|e| e.to_string())?
             }
             "--workers" => {
@@ -118,25 +113,6 @@ fn parse_options(args: impl IntoIterator<Item = String>) -> Result<Options, Stri
     Ok(o)
 }
 
-fn build_clusterer(name: &str) -> Result<Box<dyn Clusterer>, String> {
-    match name {
-        "components" | "cc" => Ok(Box::new(ConnectedComponents)),
-        "matchmerge" | "swoosh" => Ok(Box::new(MatchMerge)),
-        other => Err(format!("unknown clusterer `{other}`\n{USAGE}")),
-    }
-}
-
-fn build_matcher(o: &Options, dataset: &Dataset) -> Result<BoxedMatcher, String> {
-    if o.model == "rule" {
-        return Ok(std::sync::Arc::new(RuleMatcher::uniform(
-            dataset.left().schema().arity(),
-        )));
-    }
-    let kind = ModelKind::from_name(&o.model)?;
-    let (model, _report) = train_model(kind, dataset, &TrainConfig::for_kind(kind));
-    Ok(std::sync::Arc::new(model))
-}
-
 fn main() {
     let opts = match parse_options(std::env::args().skip(1)) {
         Ok(o) => o,
@@ -145,10 +121,10 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let clusterer = match build_clusterer(&opts.clusterer) {
+    let clusterer = match clusterer_by_name(&opts.clusterer) {
         Ok(c) => c,
         Err(msg) => {
-            eprintln!("{msg}");
+            eprintln!("{msg}\n{USAGE}");
             std::process::exit(2);
         }
     };
@@ -173,7 +149,7 @@ fn main() {
     let candidates = blocker.candidates(dataset.left(), dataset.right());
     let block_secs = t1.elapsed().as_secs_f64();
 
-    let matcher = match build_matcher(&opts, &dataset) {
+    let matcher = match matcher_by_name(&opts.model, &dataset) {
         Ok(m) => m,
         Err(msg) => {
             eprintln!("{msg}");
@@ -182,18 +158,19 @@ fn main() {
     };
     let caching = CachingMatcher::new(matcher);
     let t2 = Instant::now();
-    let report = run_cluster_pipeline_cached(
-        &dataset,
-        &caching,
-        &candidates,
-        blocker.name(),
-        clusterer.as_ref(),
-        &ClusterConfig {
-            threshold: opts.threshold,
-            batch_size: opts.batch,
-            workers: opts.workers,
-        },
-    );
+    let (report, cache) = caching.stats_over(|| {
+        run_cluster_pipeline(
+            &dataset,
+            &caching,
+            &candidates,
+            blocker.name(),
+            clusterer.as_ref(),
+            &ClusterConfig {
+                threshold: opts.threshold,
+                workers: opts.workers,
+            },
+        )
+    });
     let cluster_secs = t2.elapsed().as_secs_f64();
 
     let truth = truth_partition(&dataset);
@@ -220,13 +197,11 @@ fn main() {
     );
     println!("cluster F1    {exact:.4} (exact-match, vs seeded truth)");
     println!("block time    {block_secs:.2}s");
-    if let Some(stats) = report.cache {
-        println!(
-            "cluster time  {cluster_secs:.2}s ({:.0} pairs/s, cache hit rate {:.2})",
-            report.candidates as f64 / cluster_secs.max(1e-9),
-            stats.hit_rate()
-        );
-    }
+    println!(
+        "cluster time  {cluster_secs:.2}s ({:.0} pairs/s, cache hit rate {:.2})",
+        report.candidates as f64 / cluster_secs.max(1e-9),
+        cache.hit_rate()
+    );
 
     println!();
     println!("largest clusters:");

@@ -407,7 +407,7 @@ pub fn verify_disconnect(
         .collect();
     let edited = apply_edit(dataset, edit);
     let pairs: Vec<RecordPair> = scored.iter().map(|e| e.pair).collect();
-    let rescored = score_candidates(&edited, matcher, &pairs, 4096, 1);
+    let rescored = score_candidates(&edited, matcher, &pairs, 1);
     let new_edges = threshold_edges(&rescored, threshold);
     let new_partition = clusterer.cluster(&edited, matcher, &new_edges, threshold);
     let Some(new_index) = new_partition.cluster_of(edit.node) else {
@@ -475,7 +475,7 @@ mod tests {
 
     fn setup() -> (Dataset, Vec<ScoredEdge>, Vec<ScoredEdge>, Partition) {
         let d = dataset();
-        let scored = score_candidates(&d, &matcher(), &all_pairs(&d), 64, 1);
+        let scored = score_candidates(&d, &matcher(), &all_pairs(&d), 1);
         let edges = threshold_edges(&scored, 0.5);
         let p = ConnectedComponents.cluster(&d, &matcher(), &edges, 0.5);
         (d, scored, edges, p)

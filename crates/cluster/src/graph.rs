@@ -2,14 +2,19 @@
 //!
 //! The input is the canonical candidate list a [`certa_block::Blocker`]
 //! emits — sorted by `(left, right)`, deduplicated. [`score_candidates`]
-//! runs it through `Matcher::score_batch` in bounded chunks, fanned out on
-//! the workspace's work-stealing pool, [`certa_core::run_indexed`];
-//! [`threshold_edges`] keeps the edges at or above the match threshold.
+//! runs it through `Matcher::score_batch` in chunks, at least one per
+//! worker, fanned out on the workspace's work-stealing pool,
+//! [`certa_core::run_indexed`]; [`threshold_edges`] keeps the edges at or
+//! above the match threshold.
 //! Both preserve input order, so the edge list inherits the candidate
 //! list's canonical order and the whole stage is byte-deterministic across
 //! worker counts.
 
-use certa_core::{run_indexed, Dataset, Matcher, Record, RecordPair};
+use certa_core::{run_indexed, worker_count, Dataset, Matcher, Record, RecordPair};
+
+/// The most candidates one `score_batch` call scores: bounds the scores a
+/// chunk holds.
+const MAX_CHUNK: usize = 4096;
 
 /// One match-graph edge: a candidate pair and its matcher score.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -20,9 +25,17 @@ pub struct ScoredEdge {
     pub score: f64,
 }
 
-/// Score every candidate through [`Matcher::score_batch`] in chunks of
-/// `batch_size`, using up to `workers` threads (`0` = one per available
-/// core, `1` runs inline).
+/// Chunk length for scoring `candidates` pairs on `workers` resolved
+/// workers: `workers` get at least as many chunks when there are at least
+/// as many candidates, and no chunk exceeds [`MAX_CHUNK`].
+fn chunk_len(candidates: usize, workers: usize) -> usize {
+    (candidates / workers.max(1)).clamp(1, MAX_CHUNK)
+}
+
+/// Score every candidate through [`Matcher::score_batch`], using up to
+/// `workers` threads (`0` = one per available core, `1` runs inline). The
+/// chunk length follows from the candidate count and the worker count, so
+/// every worker gets a chunk.
 ///
 /// Chunks are claimed work-stealing style through [`run_indexed`], which
 /// returns results in chunk order, so the returned edges are in candidate
@@ -32,10 +45,11 @@ pub fn score_candidates(
     dataset: &Dataset,
     matcher: &dyn Matcher,
     candidates: &[RecordPair],
-    batch_size: usize,
     workers: usize,
 ) -> Vec<ScoredEdge> {
-    let chunks: Vec<&[RecordPair]> = candidates.chunks(batch_size.max(1)).collect();
+    let workers = worker_count(workers);
+    let len = chunk_len(candidates.len(), workers);
+    let chunks: Vec<&[RecordPair]> = candidates.chunks(len).collect();
     let scored = run_indexed(chunks.len(), workers, |i| {
         let refs: Vec<(&Record, &Record)> = chunks[i]
             .iter()
@@ -98,7 +112,7 @@ mod tests {
     fn scores_preserve_candidate_order() {
         let d = dataset(4);
         let cands = all_pairs(4);
-        let edges = score_candidates(&d, &id_matcher(), &cands, 3, 1);
+        let edges = score_candidates(&d, &id_matcher(), &cands, 1);
         assert_eq!(edges.len(), cands.len());
         for (e, p) in edges.iter().zip(&cands) {
             assert_eq!(e.pair, *p);
@@ -112,20 +126,31 @@ mod tests {
         let d = dataset(9);
         let cands = all_pairs(9);
         let m = id_matcher();
-        let one = score_candidates(&d, &m, &cands, 5, 1);
+        let one = score_candidates(&d, &m, &cands, 1);
         for workers in [0, 2, 4, 8] {
-            let w = score_candidates(&d, &m, &cands, 5, workers);
+            let w = score_candidates(&d, &m, &cands, workers);
             assert_eq!(one, w, "workers={workers} diverged");
         }
-        // Batch size never changes the output either.
-        assert_eq!(one, score_candidates(&d, &m, &cands, 1, 3));
-        assert_eq!(one, score_candidates(&d, &m, &cands, 10_000, 3));
+    }
+
+    #[test]
+    fn every_worker_gets_a_chunk_and_chunks_stay_bounded() {
+        for n in (0..200).chain([4095, 4096, 4097, 10_000, 100_000]) {
+            for workers in 1..=16 {
+                let len = chunk_len(n, workers);
+                assert!((1..=MAX_CHUNK).contains(&len), "n={n} w={workers}");
+                if n >= workers {
+                    assert!(n.div_ceil(len) >= workers, "n={n} w={workers}");
+                }
+            }
+        }
+        assert_eq!(chunk_len(782, 1), 782, "one worker scores one chunk");
     }
 
     #[test]
     fn threshold_keeps_matches_only() {
         let d = dataset(3);
-        let edges = score_candidates(&d, &id_matcher(), &all_pairs(3), 4, 1);
+        let edges = score_candidates(&d, &id_matcher(), &all_pairs(3), 1);
         let kept = threshold_edges(&edges, 0.5);
         assert_eq!(kept.len(), 3);
         assert!(kept.iter().all(|e| e.pair.left == e.pair.right));
@@ -141,6 +166,6 @@ mod tests {
     #[test]
     fn empty_candidates_score_to_empty() {
         let d = dataset(2);
-        assert!(score_candidates(&d, &id_matcher(), &[], 8, 4).is_empty());
+        assert!(score_candidates(&d, &id_matcher(), &[], 4).is_empty());
     }
 }

@@ -13,7 +13,8 @@
 //!   [`ConnectedComponents`] (union-find transitive closure over the
 //!   thresholded graph) and [`MatchMerge`] (a Swoosh-style variant that
 //!   re-scores *merged entity profiles* — built on the copy-on-write
-//!   `AttrValue` merge views — before accepting a union).
+//!   `AttrValue` merge views — before accepting a union), picked by name
+//!   through [`clusterer_by_name`].
 //! * [`Partition`] — the canonical result: clusters sorted, members sorted,
 //!   representative = smallest member. Byte-stable across runs, worker
 //!   counts, and machines ([`Partition::to_bytes`]).
@@ -49,9 +50,7 @@ pub use explain::{
 pub use graph::{score_candidates, threshold_edges, ScoredEdge};
 pub use metrics::{cluster_f1, pairwise_prf, truth_partition, PairwiseScores};
 pub use partition::{ClusterNode, Partition};
-pub use pipeline::{
-    run_cluster_pipeline, run_cluster_pipeline_cached, ClusterConfig, ClusterReport,
-};
+pub use pipeline::{run_cluster_pipeline, ClusterConfig, ClusterReport};
 pub use swoosh::MatchMerge;
 pub use unionfind::{ConnectedComponents, UnionFind};
 
@@ -79,4 +78,40 @@ pub trait Clusterer: Send + Sync {
         edges: &[ScoredEdge],
         threshold: f64,
     ) -> Partition;
+}
+
+/// The one name → clusterer table: `components` (aliases
+/// `connected-components`, `cc`) is [`ConnectedComponents`], and
+/// `matchmerge` (aliases `match-merge`, `swoosh`) is [`MatchMerge`].
+pub fn clusterer_by_name(name: &str) -> Result<Box<dyn Clusterer>, String> {
+    match name {
+        "components" | "connected-components" | "cc" => Ok(Box::new(ConnectedComponents)),
+        "matchmerge" | "match-merge" | "swoosh" => Ok(Box::new(MatchMerge)),
+        other => Err(format!(
+            "unknown clusterer `{other}` (expected components or matchmerge)"
+        )),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_clusterer_name_and_alias_builds() {
+        let canonical = [
+            ("components", "components"),
+            ("connected-components", "components"),
+            ("cc", "components"),
+            ("matchmerge", "matchmerge"),
+            ("match-merge", "matchmerge"),
+            ("swoosh", "matchmerge"),
+        ];
+        for (name, canon) in canonical {
+            let built = clusterer_by_name(name).expect(name);
+            let expected = clusterer_by_name(canon).expect(canon);
+            assert_eq!(built.name(), expected.name(), "{name}");
+        }
+        assert!(clusterer_by_name("nope").is_err());
+    }
 }

@@ -6,24 +6,19 @@
 //! path (fanned out over `cfg.workers` threads by
 //! [`certa_core::run_indexed`]; output is identical for every worker
 //! count), thresholds the scores into match edges, and hands them to a
-//! [`Clusterer`]. [`run_cluster_pipeline_cached`] is the same but reads the
-//! [`CachingMatcher`]'s hit/miss delta into the report, so repeated runs
-//! (re-clustering at a new threshold, serving the same model twice) show
-//! their score-cache reuse.
+//! [`Clusterer`]. To see a run's score-cache reuse, wrap the call in
+//! [`certa_models::CachingMatcher::stats_over`].
 
 use crate::graph::{score_candidates, threshold_edges, ScoredEdge};
 use crate::partition::Partition;
 use crate::Clusterer;
 use certa_core::{Dataset, Matcher, RecordPair};
-use certa_models::{CacheStats, CachingMatcher};
 
 /// Tuning knobs for the cluster pipeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterConfig {
     /// Match threshold: edges with `score >= threshold` enter the graph.
     pub threshold: f64,
-    /// Candidates scored per `score_batch` call.
-    pub batch_size: usize,
     /// Scoring worker threads (`0` = one per available core, `1` = inline).
     pub workers: usize,
 }
@@ -32,7 +27,6 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             threshold: 0.5,
-            batch_size: 4096,
             workers: 1,
         }
     }
@@ -56,9 +50,6 @@ pub struct ClusterReport {
     pub match_edges: Vec<ScoredEdge>,
     /// The resolved entities.
     pub partition: Partition,
-    /// Score-cache traffic attributable to this run (present on the
-    /// [`run_cluster_pipeline_cached`] path).
-    pub cache: Option<CacheStats>,
 }
 
 impl ClusterReport {
@@ -88,7 +79,7 @@ pub fn run_cluster_pipeline(
     clusterer: &dyn Clusterer,
     cfg: &ClusterConfig,
 ) -> ClusterReport {
-    let scored = score_candidates(dataset, matcher, candidates, cfg.batch_size, cfg.workers);
+    let scored = score_candidates(dataset, matcher, candidates, cfg.workers);
     let match_edges = threshold_edges(&scored, cfg.threshold);
     let partition = clusterer.cluster(dataset, matcher, &match_edges, cfg.threshold);
     ClusterReport {
@@ -99,29 +90,7 @@ pub fn run_cluster_pipeline(
         scored,
         match_edges,
         partition,
-        cache: None,
     }
-}
-
-/// [`run_cluster_pipeline`] through a [`CachingMatcher`], with the cache
-/// hit/miss delta of exactly this run surfaced in the report.
-pub fn run_cluster_pipeline_cached(
-    dataset: &Dataset,
-    cache: &CachingMatcher,
-    candidates: &[RecordPair],
-    blocker_name: String,
-    clusterer: &dyn Clusterer,
-    cfg: &ClusterConfig,
-) -> ClusterReport {
-    let before = cache.stats();
-    let mut report =
-        run_cluster_pipeline(dataset, &cache, candidates, blocker_name, clusterer, cfg);
-    let after = cache.stats();
-    report.cache = Some(CacheStats {
-        hits: after.hits - before.hits,
-        misses: after.misses - before.misses,
-    });
-    report
 }
 
 #[cfg(test)]
@@ -130,6 +99,7 @@ mod tests {
     use crate::partition::ClusterNode;
     use crate::{ConnectedComponents, MatchMerge};
     use certa_core::{BoxedMatcher, FnMatcher, Record, RecordId, Schema, Table};
+    use certa_models::CachingMatcher;
     use std::sync::Arc;
 
     fn dataset() -> Dataset {
@@ -188,7 +158,6 @@ mod tests {
         assert_eq!(report.clusters(), 3);
         assert_eq!(report.non_singletons(), 2);
         assert_eq!(report.largest(), 3);
-        assert!(report.cache.is_none());
         let c = report.partition.cluster_of(ClusterNode::left(0)).unwrap();
         assert_eq!(
             report.partition.members(c),
@@ -204,31 +173,26 @@ mod tests {
     fn cached_path_reports_reuse() {
         let d = dataset();
         let cache = CachingMatcher::new(matcher());
-        let cfg = ClusterConfig::default();
-        let first = run_cluster_pipeline_cached(
-            &d,
-            &cache,
-            &all_pairs(),
-            "all-pairs".to_string(),
-            &ConnectedComponents,
-            &cfg,
-        );
-        let stats = first.cache.expect("cached path reports stats");
+        let run = |threshold| {
+            cache.stats_over(|| {
+                run_cluster_pipeline(
+                    &d,
+                    &cache,
+                    &all_pairs(),
+                    "all-pairs".to_string(),
+                    &ConnectedComponents,
+                    &ClusterConfig {
+                        threshold,
+                        ..ClusterConfig::default()
+                    },
+                )
+            })
+        };
+        let (_, stats) = run(0.5);
         assert_eq!(stats.misses, 9, "cold cache scores every pair");
         assert_eq!(stats.hits, 0);
         // Second run at a different threshold: pure cache reuse.
-        let second = run_cluster_pipeline_cached(
-            &d,
-            &cache,
-            &all_pairs(),
-            "all-pairs".to_string(),
-            &ConnectedComponents,
-            &ClusterConfig {
-                threshold: 0.95,
-                ..cfg
-            },
-        );
-        let stats = second.cache.expect("cached path reports stats");
+        let (second, stats) = run(0.95);
         assert_eq!(stats.misses, 0);
         assert_eq!(stats.hits, 9, "warm cache serves the re-run");
         assert_eq!(second.match_edges.len(), 0, "0.95 keeps nothing");
@@ -255,11 +219,7 @@ mod tests {
                 &all_pairs(),
                 "b".to_string(),
                 &ConnectedComponents,
-                &ClusterConfig {
-                    workers,
-                    batch_size: 2,
-                    ..cfg
-                },
+                &ClusterConfig { workers, ..cfg },
             );
             assert_eq!(base.partition.to_bytes(), run.partition.to_bytes());
         }

@@ -109,6 +109,21 @@ impl CachingMatcher {
         }
     }
 
+    /// Run `f` and return its result with the hit/miss traffic the cache
+    /// saw over the call: what one pipeline run or request cost it, so a
+    /// re-run over the same pairs shows its reuse. Traffic from other
+    /// threads during the call is counted too.
+    pub fn stats_over<T>(&self, f: impl FnOnce() -> T) -> (T, CacheStats) {
+        let before = self.stats();
+        let out = f();
+        let after = self.stats();
+        let delta = CacheStats {
+            hits: after.hits - before.hits,
+            misses: after.misses - before.misses,
+        };
+        (out, delta)
+    }
+
     fn shard_of(key: Key) -> usize {
         // Content hashes are already well-mixed FxHash outputs; xor-fold the
         // pair and mask down to the shard index.

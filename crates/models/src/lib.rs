@@ -39,4 +39,4 @@ pub use features::{Featurizer, FeaturizerKind};
 pub use memo::{DittoSegment, EmbedArtifact, FeatureMemo};
 pub use rule::RuleMatcher;
 pub use trainer::{fine_tune_model, train_model, ErModel, TrainConfig, TrainReport};
-pub use zoo::{train_zoo, ModelKind, TrainedZoo};
+pub use zoo::{matcher_by_name, train_zoo, ModelKind, TrainedZoo};

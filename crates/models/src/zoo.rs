@@ -1,5 +1,6 @@
 //! The model zoo: the three matcher families of §5.1, trained together.
 
+use crate::rule::RuleMatcher;
 use crate::trainer::{train_model, ErModel, TrainConfig, TrainReport};
 use certa_core::{BoxedMatcher, Dataset};
 use std::fmt;
@@ -105,6 +106,21 @@ impl TrainedZoo {
     }
 }
 
+/// The one name → matcher table of the command-line tools: `rule` is an
+/// untrained [`RuleMatcher::uniform`] over `dataset`'s attributes, and any
+/// other name resolves through [`ModelKind::from_name`] to a family
+/// trained on `dataset` with its default [`TrainConfig`].
+pub fn matcher_by_name(name: &str, dataset: &Dataset) -> Result<BoxedMatcher, String> {
+    if name == "rule" {
+        return Ok(Arc::new(RuleMatcher::uniform(
+            dataset.left().schema().arity(),
+        )));
+    }
+    let kind = ModelKind::from_name(name)?;
+    let (model, _report) = train_model(kind, dataset, &TrainConfig::for_kind(kind));
+    Ok(Arc::new(model))
+}
+
 /// Train all three families on one dataset with per-family default configs.
 pub fn train_zoo(dataset: &Dataset) -> TrainedZoo {
     let models = ModelKind::all()
@@ -169,5 +185,15 @@ mod tests {
         let (u, v) = d.expect_pair(lp.pair);
         let s = m.score(u, v);
         assert!((0.0..=1.0).contains(&s));
+    }
+
+    #[test]
+    fn matchers_resolve_by_name() {
+        let d = generate(DatasetId::FZ, Scale::Smoke, 5);
+        let rule = matcher_by_name("rule", &d).unwrap();
+        let arity = d.left().schema().arity();
+        assert_eq!(rule.name(), RuleMatcher::uniform(arity).name());
+        assert_eq!(matcher_by_name("ditto", &d).unwrap().name(), "ditto-sim");
+        assert!(matcher_by_name("nope", &d).is_err());
     }
 }

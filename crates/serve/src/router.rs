@@ -25,7 +25,9 @@ use crate::http::{HttpError, Request, Response};
 use crate::ops::{Exposition, Route, ServerMetrics};
 use crate::state::{ModelEntry, Registry};
 use crate::wire::{dto, Json, PairDto};
+use certa_block::{Blocker, BlockerSpec, SpecError};
 use certa_core::{worker_count, Matcher, Prediction, Record, Side};
+use certa_models::CacheStats;
 use std::sync::Arc;
 
 /// Route a parsed request. Never panics; never returns a non-JSON error
@@ -174,17 +176,104 @@ fn explain(registry: &Registry, req: &Request, batch: bool) -> Result<Response, 
     ok_json(&payload)
 }
 
+/// A non-negative integer body field; `default` when absent.
+fn usize_field(body: &Json, name: &str, default: usize) -> Result<usize, HttpError> {
+    match body.get(name) {
+        None => Ok(default),
+        Some(Json::Num(n)) if n.fract() == 0.0 && *n >= 0.0 && *n < 1e9 => Ok(*n as usize),
+        Some(other) => Err(HttpError::bad_request(
+            "bad_request_body",
+            format!("`{name}` must be a non-negative integer, got {other:?}"),
+        )),
+    }
+}
+
+/// A numeric body field; `default` when absent.
+fn f64_field(body: &Json, name: &str, default: f64) -> Result<f64, HttpError> {
+    match body.get(name) {
+        None => Ok(default),
+        Some(Json::Num(n)) => Ok(*n),
+        Some(other) => Err(HttpError::bad_request(
+            "bad_request_body",
+            format!("`{name}` must be a number, got {other:?}"),
+        )),
+    }
+}
+
+/// A string body field; `default` when absent.
+fn str_field(body: &Json, name: &str, default: &str) -> Result<String, HttpError> {
+    match body.get(name) {
+        None => Ok(default.to_string()),
+        Some(Json::Str(s)) => Ok(s.clone()),
+        Some(other) => Err(HttpError::bad_request(
+            "bad_request_body",
+            format!("`{name}` must be a string, got {other:?}"),
+        )),
+    }
+}
+
+/// The required `model` field of `/v1/block` and `/v1/cluster`.
+fn required_model(body: &Json) -> Result<String, HttpError> {
+    match body.get("model") {
+        Some(Json::Str(s)) => Ok(s.clone()),
+        _ => Err(HttpError::bad_request(
+            "bad_request_body",
+            "`model` (string, \"<dataset>/<model>\") is required",
+        )),
+    }
+}
+
+/// A run's score-cache traffic as a wire object.
+fn cache_json(stats: CacheStats) -> Json {
+    Json::obj([
+        ("hits", Json::num(stats.hits as f64)),
+        ("misses", Json::num(stats.misses as f64)),
+        ("hit_rate", Json::Num(stats.hit_rate())),
+    ])
+}
+
+/// The blocker fields both `/v1/block` and `/v1/cluster` take (all
+/// optional; `blocker` defaults to `multi`). Only their types are checked
+/// here: see [`check_containment`] and [`build_blocker`].
+fn blocker_spec(body: &Json) -> Result<BlockerSpec, HttpError> {
+    let mut spec = BlockerSpec::named(str_field(body, "blocker", "multi")?);
+    spec.lsh.num_hashes = usize_field(body, "num_hashes", spec.lsh.num_hashes)?;
+    spec.lsh.num_bands = usize_field(body, "num_bands", spec.lsh.num_bands)?;
+    spec.lsh.target_threshold = f64_field(body, "target_threshold", spec.lsh.target_threshold)?;
+    spec.overlap.min_overlap = usize_field(body, "min_overlap", spec.overlap.min_overlap)?;
+    spec.overlap.min_containment =
+        f64_field(body, "min_containment", spec.overlap.min_containment)?;
+    spec.neighborhood.window = usize_field(body, "window", spec.neighborhood.window)?;
+    spec.prefix.prefix_len = usize_field(body, "prefix_len", spec.prefix.prefix_len)?;
+    spec.prefix.max_df = usize_field(body, "max_df", spec.prefix.max_df)?;
+    Ok(spec)
+}
+
+/// `min_containment` is a share, whichever blocker the request names.
+fn check_containment(spec: &BlockerSpec) -> Result<(), HttpError> {
+    let c = spec.overlap.min_containment;
+    if (0.0..=1.0).contains(&c) {
+        Ok(())
+    } else {
+        Err(HttpError::bad_request(
+            "bad_request_body",
+            format!("`min_containment` must be in [0, 1], got {c}"),
+        ))
+    }
+}
+
+/// The blocker a request names: an unknown name and tunables the blocker
+/// rejects are two different client errors.
+fn build_blocker(spec: &BlockerSpec) -> Result<Box<dyn Blocker>, HttpError> {
+    spec.build().map_err(|e| match e {
+        SpecError::UnknownName(msg) => HttpError::bad_request("bad_blocker", msg),
+        SpecError::BadConfig(msg) => HttpError::bad_request("bad_blocker_config", msg),
+    })
+}
+
 /// Parsed `/v1/block` request parameters (everything but `model` optional).
 struct BlockParams {
-    blocker: String,
-    num_hashes: usize,
-    num_bands: usize,
-    target_threshold: f64,
-    min_overlap: usize,
-    min_containment: f64,
-    window: usize,
-    prefix_len: usize,
-    max_df: usize,
+    blocker: BlockerSpec,
     top: usize,
     explain_top: usize,
 }
@@ -196,50 +285,10 @@ const BLOCK_MAX_EXPLAIN: usize = 16;
 
 impl BlockParams {
     fn from_json(body: &Json) -> Result<BlockParams, HttpError> {
-        let usize_field = |name: &'static str, default: usize| -> Result<usize, HttpError> {
-            match body.get(name) {
-                None => Ok(default),
-                Some(Json::Num(n)) if n.fract() == 0.0 && *n >= 0.0 && *n < 1e9 => Ok(*n as usize),
-                Some(other) => Err(HttpError::bad_request(
-                    "bad_request_body",
-                    format!("`{name}` must be a non-negative integer, got {other:?}"),
-                )),
-            }
-        };
-        let f64_field = |name: &'static str, default: f64| -> Result<f64, HttpError> {
-            match body.get(name) {
-                None => Ok(default),
-                Some(Json::Num(n)) => Ok(*n),
-                Some(other) => Err(HttpError::bad_request(
-                    "bad_request_body",
-                    format!("`{name}` must be a number, got {other:?}"),
-                )),
-            }
-        };
-        let blocker = match body.get("blocker") {
-            None => "multi".to_string(),
-            Some(Json::Str(s)) => s.clone(),
-            Some(other) => {
-                return Err(HttpError::bad_request(
-                    "bad_request_body",
-                    format!("`blocker` must be a string, got {other:?}"),
-                ))
-            }
-        };
-        let lsh_defaults = certa_block::LshConfig::default();
-        let overlap_defaults = certa_block::TokenOverlap::default();
         let params = BlockParams {
-            blocker,
-            num_hashes: usize_field("num_hashes", lsh_defaults.num_hashes)?,
-            num_bands: usize_field("num_bands", lsh_defaults.num_bands)?,
-            target_threshold: f64_field("target_threshold", lsh_defaults.target_threshold)?,
-            min_overlap: usize_field("min_overlap", overlap_defaults.min_overlap)?,
-            min_containment: f64_field("min_containment", overlap_defaults.min_containment)?,
-            window: usize_field("window", certa_block::SortedNeighborhood::default().window)?,
-            prefix_len: usize_field("prefix_len", certa_block::TokenPrefix::default().prefix_len)?,
-            max_df: usize_field("max_df", certa_block::TokenPrefix::default().max_df)?,
-            top: usize_field("top", 10)?,
-            explain_top: usize_field("explain_top", 0)?,
+            blocker: blocker_spec(body)?,
+            top: usize_field(body, "top", 10)?,
+            explain_top: usize_field(body, "explain_top", 0)?,
         };
         if params.top > BLOCK_MAX_TOP {
             return Err(HttpError::bad_request(
@@ -256,50 +305,8 @@ impl BlockParams {
                 ),
             ));
         }
-        if !(0.0..=1.0).contains(&params.min_containment) {
-            return Err(HttpError::bad_request(
-                "bad_request_body",
-                format!(
-                    "`min_containment` must be in [0, 1], got {}",
-                    params.min_containment
-                ),
-            ));
-        }
+        check_containment(&params.blocker)?;
         Ok(params)
-    }
-
-    fn build(&self) -> Result<Box<dyn certa_block::Blocker>, HttpError> {
-        let bad_config = |e: String| HttpError::bad_request("bad_blocker_config", e);
-        match self.blocker.as_str() {
-            "multi" => Ok(Box::new(certa_block::MultiPass::standard())),
-            "lsh" => Ok(Box::new(
-                certa_block::LshBlocker::new(certa_block::LshConfig {
-                    num_hashes: self.num_hashes,
-                    num_bands: self.num_bands,
-                    target_threshold: self.target_threshold,
-                    ..certa_block::LshConfig::default()
-                })
-                .map_err(bad_config)?,
-            )),
-            "token-overlap" => Ok(Box::new(certa_block::TokenOverlap {
-                min_overlap: self.min_overlap,
-                min_containment: self.min_containment,
-            })),
-            "sorted-neighborhood" => Ok(Box::new(certa_block::SortedNeighborhood {
-                window: self.window,
-            })),
-            "token-prefix" => Ok(Box::new(certa_block::TokenPrefix {
-                prefix_len: self.prefix_len,
-                max_df: self.max_df,
-            })),
-            other => Err(HttpError::bad_request(
-                "bad_blocker",
-                format!(
-                    "unknown blocker `{other}` (expected multi, lsh, token-overlap, \
-                     sorted-neighborhood, or token-prefix)"
-                ),
-            )),
-        }
     }
 }
 
@@ -308,35 +315,28 @@ impl BlockParams {
 /// few — the full million-record pipeline behind one endpoint.
 fn block(registry: &Registry, req: &Request) -> Result<Response, HttpError> {
     let body = parse_body(req)?;
-    let model = match body.get("model") {
-        Some(Json::Str(s)) => s.clone(),
-        _ => {
-            return Err(HttpError::bad_request(
-                "bad_request_body",
-                "`model` (string, \"<dataset>/<model>\") is required",
-            ))
-        }
-    };
+    let model = required_model(&body)?;
     let params = BlockParams::from_json(&body)?;
-    let blocker = params.build()?;
+    let blocker = build_blocker(&params.blocker)?;
     let entry = registry.resolve(&model)?;
     let candidates = blocker.candidates(entry.dataset.left(), entry.dataset.right());
     let counters = &registry.counters;
     counters.block_runs.inc();
     counters.block_candidates.add(candidates.len() as u64);
     let certa = (params.explain_top > 0).then_some(&entry.certa);
-    let report = certa_block::run_pipeline_cached(
-        candidates,
-        blocker.name(),
-        &entry.dataset,
-        &entry.cache,
-        certa,
-        &certa_block::PipelineConfig {
-            top_k: params.top,
-            explain_top: params.explain_top,
-            ..certa_block::PipelineConfig::default()
-        },
-    );
+    let (report, cache) = entry.cache.stats_over(|| {
+        certa_block::run_pipeline_on(
+            candidates,
+            blocker.name(),
+            &entry.dataset,
+            &entry.cache,
+            certa,
+            &certa_block::PipelineConfig {
+                top_k: params.top,
+                explain_top: params.explain_top,
+            },
+        )
+    });
     let top: Vec<Json> = report
         .top
         .iter()
@@ -371,31 +371,20 @@ fn block(registry: &Registry, req: &Request) -> Result<Response, HttpError> {
         ),
         ("top", Json::Arr(top)),
         ("explanations", Json::Arr(explanations)),
-        (
-            "cache",
-            match report.cache {
-                Some(stats) => Json::obj([
-                    ("hits", Json::num(stats.hits as f64)),
-                    ("misses", Json::num(stats.misses as f64)),
-                    ("hit_rate", Json::Num(stats.hit_rate())),
-                ]),
-                None => Json::Null,
-            },
-        ),
+        ("cache", cache_json(cache)),
     ]);
     ok_json(&payload)
 }
 
-/// Parsed `/v1/cluster` request parameters. Blocker selection and tuning
-/// ride on [`BlockParams`]; the fields here drive the clustering stage.
+/// Parsed `/v1/cluster` request parameters: the blocker fields `/v1/block`
+/// takes, and the fields that drive the clustering stage.
 struct ClusterParams {
-    block: BlockParams,
+    blocker: BlockerSpec,
     clusterer: String,
     threshold: f64,
     /// The resolved scoring worker count: the request's `workers` through
     /// `worker_count` (`0` = one per core), capped at `CLUSTER_MAX_WORKERS`.
     workers: usize,
-    batch: usize,
     top: usize,
 }
 
@@ -408,27 +397,9 @@ const CLUSTER_MAX_WORKERS: usize = 64;
 impl ClusterParams {
     fn from_json(body: &Json) -> Result<ClusterParams, HttpError> {
         let defaults = certa_cluster::ClusterConfig::default();
-        let block = BlockParams::from_json(body)?;
-        let clusterer = match body.get("clusterer") {
-            None => "components".to_string(),
-            Some(Json::Str(s)) => s.clone(),
-            Some(other) => {
-                return Err(HttpError::bad_request(
-                    "bad_request_body",
-                    format!("`clusterer` must be a string, got {other:?}"),
-                ))
-            }
-        };
-        let usize_field = |name: &'static str, default: usize| -> Result<usize, HttpError> {
-            match body.get(name) {
-                None => Ok(default),
-                Some(Json::Num(n)) if n.fract() == 0.0 && *n >= 0.0 && *n < 1e9 => Ok(*n as usize),
-                Some(other) => Err(HttpError::bad_request(
-                    "bad_request_body",
-                    format!("`{name}` must be a non-negative integer, got {other:?}"),
-                )),
-            }
-        };
+        let blocker = blocker_spec(body)?;
+        check_containment(&blocker)?;
+        let clusterer = str_field(body, "clusterer", "components")?;
         let threshold = match body.get("threshold") {
             None => defaults.threshold,
             Some(Json::Num(n)) if (0.0..=1.0).contains(n) => *n,
@@ -440,12 +411,11 @@ impl ClusterParams {
             }
         };
         let mut params = ClusterParams {
-            block,
+            blocker,
             clusterer,
             threshold,
-            workers: usize_field("workers", defaults.workers)?,
-            batch: usize_field("batch", defaults.batch_size)?,
-            top: usize_field("top_clusters", 10)?,
+            workers: usize_field(body, "workers", defaults.workers)?,
+            top: usize_field(body, "top_clusters", 10)?,
         };
         if params.workers > CLUSTER_MAX_WORKERS {
             return Err(HttpError::bad_request(
@@ -454,12 +424,6 @@ impl ClusterParams {
                     "`workers` must be ≤ {CLUSTER_MAX_WORKERS}, got {}",
                     params.workers
                 ),
-            ));
-        }
-        if params.batch == 0 {
-            return Err(HttpError::bad_request(
-                "bad_request_body",
-                "`batch` must be ≥ 1, got 0",
             ));
         }
         if params.top > CLUSTER_MAX_TOP {
@@ -473,19 +437,6 @@ impl ClusterParams {
         }
         params.workers = worker_count(params.workers).min(CLUSTER_MAX_WORKERS);
         Ok(params)
-    }
-
-    fn build_clusterer(&self) -> Result<Box<dyn certa_cluster::Clusterer>, HttpError> {
-        match self.clusterer.as_str() {
-            "components" | "connected-components" | "cc" => {
-                Ok(Box::new(certa_cluster::ConnectedComponents))
-            }
-            "matchmerge" | "match-merge" | "swoosh" => Ok(Box::new(certa_cluster::MatchMerge)),
-            other => Err(HttpError::bad_request(
-                "bad_clusterer",
-                format!("unknown clusterer `{other}` (expected components or matchmerge)"),
-            )),
-        }
     }
 }
 
@@ -509,32 +460,26 @@ fn node_to_json(node: certa_cluster::ClusterNode) -> Json {
 /// store, persisted) for `GET /v1/entity` lookups.
 fn cluster(registry: &Registry, req: &Request) -> Result<Response, HttpError> {
     let body = parse_body(req)?;
-    let model = match body.get("model") {
-        Some(Json::Str(s)) => s.clone(),
-        _ => {
-            return Err(HttpError::bad_request(
-                "bad_request_body",
-                "`model` (string, \"<dataset>/<model>\") is required",
-            ))
-        }
-    };
+    let model = required_model(&body)?;
     let params = ClusterParams::from_json(&body)?;
-    let blocker = params.block.build()?;
-    let clusterer = params.build_clusterer()?;
+    let blocker = build_blocker(&params.blocker)?;
+    let clusterer = certa_cluster::clusterer_by_name(&params.clusterer)
+        .map_err(|msg| HttpError::bad_request("bad_clusterer", msg))?;
     let entry = registry.resolve(&model)?;
     let candidates = blocker.candidates(entry.dataset.left(), entry.dataset.right());
-    let report = certa_cluster::run_cluster_pipeline_cached(
-        &entry.dataset,
-        &entry.cache,
-        &candidates,
-        blocker.name().to_string(),
-        clusterer.as_ref(),
-        &certa_cluster::ClusterConfig {
-            threshold: params.threshold,
-            batch_size: params.batch,
-            workers: params.workers,
-        },
-    );
+    let (report, cache) = entry.cache.stats_over(|| {
+        certa_cluster::run_cluster_pipeline(
+            &entry.dataset,
+            &entry.cache,
+            &candidates,
+            blocker.name(),
+            clusterer.as_ref(),
+            &certa_cluster::ClusterConfig {
+                threshold: params.threshold,
+                workers: params.workers,
+            },
+        )
+    });
     let partition = Arc::new(report.partition.clone());
     registry.record_cluster(
         &entry,
@@ -578,17 +523,7 @@ fn cluster(registry: &Registry, req: &Request) -> Result<Response, HttpError> {
         ("non_singletons", Json::num(report.non_singletons() as f64)),
         ("largest", Json::num(report.largest() as f64)),
         ("top", Json::Arr(top)),
-        (
-            "cache",
-            match report.cache {
-                Some(stats) => Json::obj([
-                    ("hits", Json::num(stats.hits as f64)),
-                    ("misses", Json::num(stats.misses as f64)),
-                    ("hit_rate", Json::Num(stats.hit_rate())),
-                ]),
-                None => Json::Null,
-            },
-        ),
+        ("cache", cache_json(cache)),
     ]);
     ok_json(&payload)
 }
@@ -1046,8 +981,11 @@ mod tests {
             "multi",
             "lsh",
             "token-overlap",
+            "overlap",
             "sorted-neighborhood",
+            "sn",
             "token-prefix",
+            "prefix",
         ] {
             let body = format!(r#"{{"model":"FZ/DeepMatcher","blocker":"{blocker}","top":3}}"#);
             let (_, resp) = go(&registry, &req("POST", "/v1/block", &body));
@@ -1244,7 +1182,6 @@ mod tests {
                 "bad_request_body",
             ),
             (r#"{"model":"FZ/Ditto","workers":1000}"#, "bad_request_body"),
-            (r#"{"model":"FZ/Ditto","batch":0}"#, "bad_request_body"),
             (
                 r#"{"model":"FZ/Ditto","top_clusters":500}"#,
                 "bad_request_body",
@@ -1273,9 +1210,11 @@ mod tests {
         let (_, a) = go(&registry, &req("POST", "/v1/cluster", one));
         assert_eq!(a.status, 200);
         let a = parse_response(&a);
+        // `top` and `explain_top` are `/v1/block` fields: out of that
+        // endpoint's range, they are not the cluster request's concern.
         for other in [
-            r#"{"model":"FZ/Ditto","workers":4,"batch":3}"#,
-            r#"{"model":"FZ/Ditto","workers":0,"batch":5}"#,
+            r#"{"model":"FZ/Ditto","workers":4,"top":5000}"#,
+            r#"{"model":"FZ/Ditto","workers":0,"explain_top":99}"#,
         ] {
             let (_, b) = go(&registry, &req("POST", "/v1/cluster", other));
             assert_eq!(b.status, 200, "{other}");
