@@ -68,6 +68,8 @@ fn main() {
     );
     println!();
 
+    // `--workers` absent means one scoring worker per core, as everywhere.
+    let workers = certa_core::worker_count(opts.workers.unwrap_or(0));
     let clusterers: [Box<dyn Clusterer>; 2] = [Box::new(ConnectedComponents), Box::new(MatchMerge)];
     let mut rows = Vec::new();
     let mut all_pass = true;
@@ -86,7 +88,7 @@ fn main() {
             )
         };
         let t = Instant::now();
-        let report = run(opts.workers.unwrap_or(1));
+        let report = run(workers);
         let cluster_s = t.elapsed().as_secs_f64();
         let pairs_per_s = report.candidates as f64 / cluster_s.max(1e-9);
 
@@ -99,7 +101,7 @@ fn main() {
         let determinism_pass = WORKER_SWEEP
             .iter()
             .all(|&w| run(w).partition.to_bytes() == baseline)
-            && run(opts.workers.unwrap_or(1)).partition.to_bytes() == baseline;
+            && run(workers).partition.to_bytes() == baseline;
 
         // Gate 4: a ψ-mask disconnect edit for some member of a
         // multi-record entity, verified by re-clustering the edited world.
@@ -110,7 +112,7 @@ fn main() {
         let cluster_pass = cf1 >= REQUIRED_F1;
         all_pass &= pairwise_pass && cluster_pass && determinism_pass && counterfactual_pass;
         println!(
-            "{:>10}: {} entities ({} multi, largest {}) | {} match edges | {cluster_s:6.2}s ({pairs_per_s:.0} pairs/s)",
+            "{:>10}: {} entities ({} multi, largest {}) | {} match edges | {cluster_s:6.2}s on {workers} workers ({pairs_per_s:.0} pairs/s)",
             report.clusterer,
             report.clusters(),
             report.non_singletons(),

@@ -47,7 +47,7 @@ pub mod pipeline;
 
 pub use baselines::{SortedNeighborhood, TokenOverlap, TokenPrefix};
 pub use lsh::{LshBlocker, LshConfig};
-pub use minhash::{jaccard_sorted, MinHasher, Shingle};
+pub use minhash::{MinHasher, Shingle};
 pub use pipeline::{run_pipeline_on, PipelineConfig, PipelineReport, ScoredPair};
 
 use certa_core::{Dataset, RecordId, RecordPair, Split, Table};

@@ -241,8 +241,10 @@ impl MinHasher {
 }
 
 /// Exact Jaccard similarity of two *sorted, deduped* shingle-hash sets
-/// (as produced by [`Shingle::hash_set`]).
-pub fn jaccard_sorted(a: &[u64], b: &[u64]) -> f64 {
+/// (as produced by [`Shingle::hash_set`]), the truth the tests hold MinHash
+/// estimates to; 0.0 when both sets are empty.
+#[cfg(test)]
+pub(crate) fn jaccard_sorted(a: &[u64], b: &[u64]) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 0.0;
     }

@@ -190,7 +190,7 @@ mod tests {
         FnMatcher::new("token-jaccard", |u: &Record, v: &Record| {
             let a = crate::Shingle::Tokens.hash_set(u);
             let b = crate::Shingle::Tokens.hash_set(v);
-            crate::jaccard_sorted(&a, &b)
+            crate::minhash::jaccard_sorted(&a, &b)
         })
     }
 

@@ -252,15 +252,16 @@ pub fn mean_necessity_of(saliency: &SaliencyExplanation) -> f64 {
 }
 
 /// Mean per-attribute whitespace-token Jaccard between two same-schema
-/// records — a proximity used only for ranking the example list.
+/// records — a proximity used only for ranking the example list. Counts
+/// each value's cached raw tokens.
 pub(crate) fn pair_token_overlap(original: &Record, modified: &Record) -> f64 {
     let arity = original.arity().min(modified.arity());
     if arity == 0 {
         return 1.0;
     }
     let mut total = 0.0;
-    for i in 0..arity {
-        total += certa_text::jaccard(&original.values()[i], &modified.values()[i]);
+    for (a, b) in original.values().iter().zip(modified.values()) {
+        total += certa_text::jaccard_tokens(a.tokens(), b.tokens());
     }
     total / arity as f64
 }
@@ -559,6 +560,11 @@ mod tests {
             "{{b, c}} of {{a, b, c, d}}"
         );
         assert_eq!(overlap(&["a a b"], &["b a"]), 1.0, "token sets, not bags");
+        assert_eq!(
+            overlap(&["\ta  b\t"], &["  b c a "]),
+            2.0 / 3.0,
+            "tabs and doubled, leading and trailing spaces split as whitespace"
+        );
         // The mean over attributes: (1 + 0 + 1/2) / 3.
         let original = ["", "alpha beta", "a b c"];
         let modified = ["", "gamma", "b c d"];

@@ -1,4 +1,4 @@
-//! Cosine similarity over term-frequency vectors, with optional IDF weights.
+//! Cosine similarity over IDF-weighted term-frequency vectors.
 
 use certa_core::hash::FxHashMap;
 use certa_core::tokens::tokens;
@@ -11,22 +11,7 @@ fn tf<'a>(toks: impl IntoIterator<Item = &'a str>) -> FxHashMap<&'a str, f64> {
     m
 }
 
-/// Plain TF cosine similarity between two strings' token-count vectors.
-pub fn cosine_tf(a: &str, b: &str) -> f64 {
-    let ta = tf(tokens(a));
-    let tb = tf(tokens(b));
-    if ta.is_empty() && tb.is_empty() {
-        return 1.0;
-    }
-    cosine_of(&ta, &tb, None)
-}
-
-fn cosine_of(
-    ta: &FxHashMap<&str, f64>,
-    tb: &FxHashMap<&str, f64>,
-    idf: Option<&CorpusStats>,
-) -> f64 {
-    let weight = |tok: &str| idf.map_or(1.0, |c| c.idf(tok));
+fn cosine_of(ta: &FxHashMap<&str, f64>, tb: &FxHashMap<&str, f64>, corpus: &CorpusStats) -> f64 {
     let mut dot = 0.0;
     // Iteration order here chooses the float-summation order, which picks
     // the rounding of `dot` and the norms. FxHashMap iteration is a pure
@@ -37,20 +22,20 @@ fn cosine_of(
     // certa-lint: allow(no-unordered-iteration) — FxHashMap order is a pure function of the insertion sequence; sorting would change summed-float rounding pinned by golden fixtures
     for (tok, &fa) in ta {
         if let Some(&fb) = tb.get(tok) {
-            let w = weight(tok);
+            let w = corpus.idf(tok);
             dot += fa * w * fb * w;
         }
     }
     let na: f64 = ta
         // certa-lint: allow(no-unordered-iteration) — same insertion-ordered float sum as `dot` above
         .iter()
-        .map(|(t, f)| (f * weight(t)).powi(2))
+        .map(|(t, f)| (f * corpus.idf(t)).powi(2))
         .sum::<f64>()
         .sqrt();
     let nb: f64 = tb
         // certa-lint: allow(no-unordered-iteration) — same insertion-ordered float sum as `dot` above
         .iter()
-        .map(|(t, f)| (f * weight(t)).powi(2))
+        .map(|(t, f)| (f * corpus.idf(t)).powi(2))
         .sum::<f64>()
         .sqrt();
     if na == 0.0 || nb == 0.0 {
@@ -140,7 +125,7 @@ impl CorpusStats {
         if ta.is_empty() && tb.is_empty() {
             return 1.0;
         }
-        cosine_of(&ta, &tb, Some(self))
+        cosine_of(&ta, &tb, self)
     }
 }
 
@@ -149,21 +134,30 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// TF-IDF cosine under a corpus of one document holding every test
+    /// token once, so each of them weighs the same and the cosine is the
+    /// plain term-frequency one.
+    fn tf_cosine(a: &str, b: &str) -> f64 {
+        let mut corpus = CorpusStats::new();
+        corpus.add_document("a b c");
+        corpus.cosine_tfidf_tokens(tokens(a), tokens(b))
+    }
+
     #[test]
     fn cosine_known_values() {
-        assert!((cosine_tf("a b", "a b") - 1.0).abs() < 1e-12);
-        assert_eq!(cosine_tf("a", "b"), 0.0);
+        assert!((tf_cosine("a b", "a b") - 1.0).abs() < 1e-12);
+        assert_eq!(tf_cosine("a", "b"), 0.0);
         // ("a b", "a c"): dot = 1, norms = sqrt(2) each → 0.5
-        assert!((cosine_tf("a b", "a c") - 0.5).abs() < 1e-12);
-        assert_eq!(cosine_tf("", ""), 1.0);
-        assert_eq!(cosine_tf("a", ""), 0.0);
+        assert!((tf_cosine("a b", "a c") - 0.5).abs() < 1e-12);
+        assert_eq!(tf_cosine("", ""), 1.0);
+        assert_eq!(tf_cosine("a", ""), 0.0);
     }
 
     #[test]
     fn tf_weighting_counts_repeats() {
         // "a a b" = (2,1); "a b" = (1,1): dot = 3, norms √5·√2 → 3/√10
         let expected = 3.0 / (10.0f64).sqrt();
-        assert!((cosine_tf("a a b", "a b") - expected).abs() < 1e-12);
+        assert!((tf_cosine("a a b", "a b") - expected).abs() < 1e-12);
     }
 
     #[test]
@@ -213,9 +207,9 @@ mod tests {
     proptest! {
         #[test]
         fn cosine_bounded_symmetric(a in "[a-c ]{0,16}", b in "[a-c ]{0,16}") {
-            let s = cosine_tf(&a, &b);
+            let s = tf_cosine(&a, &b);
             prop_assert!((-1e-12..=1.0 + 1e-12).contains(&s));
-            prop_assert!((s - cosine_tf(&b, &a)).abs() < 1e-12);
+            prop_assert!((s - tf_cosine(&b, &a)).abs() < 1e-12);
         }
 
         #[test]

@@ -1,4 +1,4 @@
-//! Character-level edit distances.
+//! Character-level edit distance (Levenshtein).
 
 /// Levenshtein distance (insert / delete / substitute, unit costs).
 ///
@@ -41,39 +41,6 @@ pub fn levenshtein_sim(a: &str, b: &str) -> f64 {
     1.0 - levenshtein(a, b) as f64 / denom as f64
 }
 
-/// Optimal string alignment distance (Levenshtein + adjacent transposition,
-/// each substring edited at most once). Catches the "typo swaps two letters"
-/// corruption the data generator emits.
-pub fn osa_distance(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let (n, m) = (a.len(), b.len());
-    if n == 0 {
-        return m;
-    }
-    if m == 0 {
-        return n;
-    }
-    // Three rows: i-2, i-1, i.
-    let mut row2: Vec<usize> = vec![0; m + 1];
-    let mut row1: Vec<usize> = (0..=m).collect();
-    let mut row0: Vec<usize> = vec![0; m + 1];
-    for i in 1..=n {
-        row0[0] = i;
-        for j in 1..=m {
-            let cost = usize::from(a[i - 1] != b[j - 1]);
-            let mut best = (row1[j - 1] + cost).min(row1[j] + 1).min(row0[j - 1] + 1);
-            if i > 1 && j > 1 && a[i - 1] == b[j - 2] && a[i - 2] == b[j - 1] {
-                best = best.min(row2[j - 2] + 1);
-            }
-            row0[j] = best;
-        }
-        std::mem::swap(&mut row2, &mut row1);
-        std::mem::swap(&mut row1, &mut row0);
-    }
-    row1[m]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,6 +54,7 @@ mod tests {
         assert_eq!(levenshtein("", "abc"), 3);
         assert_eq!(levenshtein("sony", "sony"), 0);
         assert_eq!(levenshtein("flaw", "lawn"), 2);
+        assert_eq!(levenshtein("ab", "ba"), 2);
     }
 
     #[test]
@@ -103,15 +71,6 @@ mod tests {
         assert!((levenshtein_sim("kitten", "sitting") - (1.0 - 3.0 / 7.0)).abs() < 1e-12);
     }
 
-    #[test]
-    fn osa_counts_transposition_as_one() {
-        assert_eq!(osa_distance("ab", "ba"), 1);
-        assert_eq!(levenshtein("ab", "ba"), 2);
-        assert_eq!(osa_distance("ca", "abc"), 3); // OSA (not full Damerau)
-        assert_eq!(osa_distance("", "xy"), 2);
-        assert_eq!(osa_distance("xy", ""), 2);
-    }
-
     proptest! {
         #[test]
         fn levenshtein_symmetric(a in "[a-z]{0,12}", b in "[a-z]{0,12}") {
@@ -126,11 +85,6 @@ mod tests {
         #[test]
         fn levenshtein_triangle(a in "[a-z]{0,8}", b in "[a-z]{0,8}", c in "[a-z]{0,8}") {
             prop_assert!(levenshtein(&a, &c) <= levenshtein(&a, &b) + levenshtein(&b, &c));
-        }
-
-        #[test]
-        fn osa_never_exceeds_levenshtein(a in "[a-z]{0,10}", b in "[a-z]{0,10}") {
-            prop_assert!(osa_distance(&a, &b) <= levenshtein(&a, &b));
         }
 
         #[test]

@@ -12,20 +12,16 @@
 pub mod cosine;
 pub mod edit;
 pub mod jaro;
-pub mod monge_elkan;
 pub mod ngram;
 pub mod numeric;
 pub mod token_sets;
 
-pub use cosine::{cosine_tf, CorpusStats};
-pub use edit::{levenshtein, levenshtein_sim, osa_distance};
+pub use cosine::CorpusStats;
+pub use edit::{levenshtein, levenshtein_sim};
 pub use jaro::{jaro, jaro_winkler};
-pub use monge_elkan::{monge_elkan, monge_elkan_symmetric};
 pub use ngram::{trigram_sim, with_gram_overlap, Overlap, OverlapKey, Trigrams};
 pub use numeric::{numeric_sim, parse_number};
-pub use token_sets::{
-    dice, dice_tokens, jaccard, jaccard_tokens, overlap_coefficient, overlap_coefficient_tokens,
-};
+pub use token_sets::{jaccard, jaccard_tokens};
 
 /// A robust hybrid attribute-value similarity used by the evaluation metrics.
 ///

@@ -11,11 +11,14 @@
 //! exact integers, the same as over each gram's `String` (the test module's
 //! reference), so every ratio is bit-identical to it.
 //!
-//! [`Overlap`] is generic over its key ([`OverlapKey`]), so callers that
-//! assemble a set from cached parts (Ditto's serialized-pair features in
-//! `certa-models` count both their token and their trigram overlaps with
-//! it) share the one kernel.
+//! [`Overlap`] is generic over its key ([`OverlapKey`]), so every set
+//! measure of this crate shares the one kernel: token Jaccard
+//! ([`crate::jaccard_tokens`]) counts `&str` tokens with it, and so do
+//! callers that assemble a set from cached parts (Ditto's serialized-pair
+//! features in `certa-models` count both their token and their trigram
+//! overlaps with it).
 
+use certa_core::hash::fx_hash_one;
 use certa_core::Side;
 use std::cell::RefCell;
 
@@ -68,6 +71,15 @@ impl OverlapKey for u64 {
     #[inline]
     fn overlap_hash(self) -> u64 {
         self
+    }
+}
+
+/// A token's text picks its slot through its `fx_hash_one`, and `==` on
+/// the text decides membership, so counts stay exact.
+impl OverlapKey for &str {
+    #[inline]
+    fn overlap_hash(self) -> u64 {
+        fx_hash_one(self)
     }
 }
 

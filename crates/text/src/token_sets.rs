@@ -1,44 +1,15 @@
-//! Token-set similarities (Jaccard, Dice, overlap coefficient).
+//! Token-set similarity: Jaccard over whitespace token sets.
 //!
-//! Every measure has two entry points: the classic `&str` form (tokenizes
-//! internally) and a `*_tokens` form over **pre-tokenized views** — callers
-//! holding cached token lists (e.g. [`certa_core::AttrValue::clean_tokens`])
-//! skip the re-tokenization entirely. Both forms build identical sets, so
-//! they return bit-identical results.
-//!
-//! Set sizes and intersections are counted by a **sorted-slice merge**
-//! rather than hash-set probes: dedup-sorted token slices walk forward in
-//! one branch-predictable linear pass over contiguous memory, which is the
-//! cache-friendly shape for the DeepMatcher featurizer's hot inner loop.
-//! The counts are exact integers either way, so every ratio is
-//! bit-identical to the old `FxHashSet` implementation.
+//! [`jaccard`] tokenizes its two strings; [`jaccard_tokens`] takes
+//! **pre-tokenized views**, so callers holding cached token lists (e.g.
+//! [`certa_core::AttrValue::clean_tokens`]) skip the re-tokenization. Both
+//! count the two sets on [`Overlap`], the hash kernel trigram and Ditto
+//! features count with. Set sizes and the intersection are exact integers,
+//! so the ratio is the one two hash sets of the tokens give.
 
+use crate::ngram::Overlap;
 use certa_core::tokens::tokens;
-use std::cmp::Ordering;
-
-fn sorted_unique<'a>(toks: impl IntoIterator<Item = &'a str>) -> Vec<&'a str> {
-    let mut v: Vec<&str> = toks.into_iter().collect();
-    v.sort_unstable();
-    v.dedup();
-    v
-}
-
-/// `|A ∩ B|` of two dedup-sorted slices by linear merge.
-fn intersection_count<T: Ord>(a: &[T], b: &[T]) -> usize {
-    let (mut i, mut j, mut n) = (0usize, 0usize, 0usize);
-    while let (Some(x), Some(y)) = (a.get(i), b.get(j)) {
-        match x.cmp(y) {
-            Ordering::Less => i += 1,
-            Ordering::Greater => j += 1,
-            Ordering::Equal => {
-                n += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    n
-}
+use certa_core::Side;
 
 /// Jaccard similarity over whitespace token sets: `|A∩B| / |A∪B|`.
 ///
@@ -52,63 +23,40 @@ pub fn jaccard_tokens<'a>(
     a: impl IntoIterator<Item = &'a str>,
     b: impl IntoIterator<Item = &'a str>,
 ) -> f64 {
-    let sa = sorted_unique(a);
-    let sb = sorted_unique(b);
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
+    let (a, b) = (a.into_iter(), b.into_iter());
+    let mut overlap = Overlap::with_capacity(a.size_hint().0 + b.size_hint().0);
+    for token in a {
+        overlap.insert(Side::Left, token);
     }
-    let inter = intersection_count(&sa, &sb);
-    let union = sa.len() + sb.len() - inter;
-    inter as f64 / union as f64
-}
-
-/// Dice coefficient over token sets: `2|A∩B| / (|A| + |B|)`.
-pub fn dice(a: &str, b: &str) -> f64 {
-    dice_tokens(tokens(a), tokens(b))
-}
-
-/// [`dice`] over pre-tokenized views.
-pub fn dice_tokens<'a>(
-    a: impl IntoIterator<Item = &'a str>,
-    b: impl IntoIterator<Item = &'a str>,
-) -> f64 {
-    let sa = sorted_unique(a);
-    let sb = sorted_unique(b);
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
+    for token in b {
+        overlap.insert(Side::Right, token);
     }
-    let inter = intersection_count(&sa, &sb);
-    2.0 * inter as f64 / (sa.len() + sb.len()) as f64
-}
-
-/// Overlap coefficient: `|A∩B| / min(|A|, |B|)` — 1.0 when one token set
-/// contains the other, which flags the "description embeds the name"
-/// structure common in product datasets like Abt-Buy.
-pub fn overlap_coefficient(a: &str, b: &str) -> f64 {
-    overlap_coefficient_tokens(tokens(a), tokens(b))
-}
-
-/// [`overlap_coefficient`] over pre-tokenized views.
-pub fn overlap_coefficient_tokens<'a>(
-    a: impl IntoIterator<Item = &'a str>,
-    b: impl IntoIterator<Item = &'a str>,
-) -> f64 {
-    let sa = sorted_unique(a);
-    let sb = sorted_unique(b);
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
-    }
-    if sa.is_empty() || sb.is_empty() {
-        return 0.0;
-    }
-    let inter = intersection_count(&sa, &sb);
-    inter as f64 / sa.len().min(sb.len()) as f64
+    overlap.jaccard()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use certa_core::hash::FxHashSet;
+    use proptest::collection::vec;
     use proptest::prelude::*;
+
+    /// Few tokens, so lists repeat them and share them; 2-, 3- and 4-byte
+    /// UTF-8 among them.
+    const TOKEN: &str = "[abé€😀]{1,2}";
+    /// Text with runs of spaces and tabs, leading and trailing ones too.
+    const TEXT: &str = "[abé€😀 \t]{0,24}";
+
+    /// The reference: each side's distinct tokens in an `FxHashSet`.
+    fn reference<'a>(a: impl Iterator<Item = &'a str>, b: impl Iterator<Item = &'a str>) -> f64 {
+        let sa: FxHashSet<&str> = a.collect();
+        let sb: FxHashSet<&str> = b.collect();
+        if sa.is_empty() && sb.is_empty() {
+            return 1.0;
+        }
+        let inter = sa.intersection(&sb).count();
+        inter as f64 / (sa.len() + sb.len() - inter) as f64
+    }
 
     #[test]
     fn jaccard_known_values() {
@@ -122,25 +70,6 @@ mod tests {
     #[test]
     fn duplicates_collapse() {
         assert_eq!(jaccard("a a a", "a"), 1.0);
-        assert_eq!(dice("b b", "b"), 1.0);
-    }
-
-    #[test]
-    fn dice_known_values() {
-        assert!((dice("a b c", "b c d") - (2.0 * 2.0 / 6.0)).abs() < 1e-12);
-        assert_eq!(dice("", ""), 1.0);
-        assert_eq!(dice("x", "y"), 0.0);
-    }
-
-    #[test]
-    fn overlap_detects_containment() {
-        assert_eq!(
-            overlap_coefficient("sony bravia", "sony bravia theater black micro"),
-            1.0
-        );
-        assert_eq!(overlap_coefficient("a", ""), 0.0);
-        assert_eq!(overlap_coefficient("", ""), 1.0);
-        assert!((overlap_coefficient("a b", "b c d") - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -159,38 +88,42 @@ mod tests {
                 jaccard(a, b),
                 jaccard_tokens(ta.iter().copied(), tb.iter().copied())
             );
-            assert_eq!(
-                dice(a, b),
-                dice_tokens(ta.iter().copied(), tb.iter().copied())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        #[test]
+        fn overlap_counts_match_hash_sets(
+            a in vec(TOKEN, 0..8),
+            b in vec(TOKEN, 0..8),
+            x in TEXT,
+            y in TEXT,
+        ) {
+            let (ta, tb) = (a.iter().map(String::as_str), b.iter().map(String::as_str));
+            prop_assert_eq!(
+                jaccard_tokens(ta.clone(), tb.clone()).to_bits(),
+                reference(ta, tb).to_bits()
             );
-            assert_eq!(
-                overlap_coefficient(a, b),
-                overlap_coefficient_tokens(ta.iter().copied(), tb.iter().copied())
-            );
+            let s = jaccard(&x, &y);
+            prop_assert_eq!(s.to_bits(), jaccard_tokens(tokens(&x), tokens(&y)).to_bits());
+            prop_assert_eq!(s.to_bits(), reference(tokens(&x), tokens(&y)).to_bits());
         }
     }
 
     proptest! {
         #[test]
-        fn all_bounded_symmetric(a in "[a-c ]{0,16}", b in "[a-c ]{0,16}") {
-            for f in [jaccard, dice, overlap_coefficient] {
-                let s = f(&a, &b);
-                prop_assert!((0.0..=1.0).contains(&s));
-                prop_assert!((s - f(&b, &a)).abs() < 1e-12);
-            }
-        }
-
-        #[test]
-        fn dice_at_least_jaccard(a in "[a-c ]{0,16}", b in "[a-c ]{0,16}") {
-            prop_assert!(dice(&a, &b) + 1e-12 >= jaccard(&a, &b));
+        fn jaccard_bounded_symmetric(a in "[a-c ]{0,16}", b in "[a-c ]{0,16}") {
+            let s = jaccard(&a, &b);
+            prop_assert!((0.0..=1.0).contains(&s));
+            prop_assert!((s - jaccard(&b, &a)).abs() < 1e-12);
         }
 
         #[test]
         fn identity_is_one(a in "[a-z ]{1,16}") {
             prop_assume!(!a.trim().is_empty());
             prop_assert_eq!(jaccard(&a, &a), 1.0);
-            prop_assert_eq!(dice(&a, &a), 1.0);
-            prop_assert_eq!(overlap_coefficient(&a, &a), 1.0);
         }
     }
 }
