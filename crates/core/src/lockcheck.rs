@@ -5,18 +5,18 @@
 //! while a `let`-bound guard is live, but token scanning cannot see guards
 //! held by temporaries or acquisitions behind a function call. This module
 //! closes that gap at runtime: lock owners (the sharded `CachingMatcher`
-//! and `FeatureMemo`, the serve registry) register each acquisition with a
-//! thread-local held-set, and a `debug_assert` enforces the workspace's
-//! acquisition discipline:
+//! and `FeatureMemo`, the serve registry and its warm-start state) register
+//! each acquisition with a thread-local held-set, and a `debug_assert`
+//! enforces the workspace's acquisition discipline:
 //!
 //! - within one owner, locks are acquired in strictly increasing
 //!   `(rank, key)` order — coarse ranks before finer ones, and same-rank
 //!   acquisitions walking keys upward, which keeps any nesting
 //!   deadlock-free. Every tracked lock today is shard-rank: the caches'
-//!   shard maps and the registry's maps. The score cache's per-pair cells
-//!   are `OnceLock`s rather than locks: a hit reads one under its shard's
-//!   read lock, a miss resolves one after releasing the shard, so they take
-//!   no rank;
+//!   shard maps, the registry's maps and the warm-start state. The score
+//!   cache's per-pair cells are `OnceLock`s rather than locks: a hit reads
+//!   one under its shard's read lock, a miss resolves one after releasing
+//!   the shard, so they take no rank;
 //! - an owner can require that *nothing* of its own is held at a point
 //!   (the registry materializes models outside its map lock).
 //!
@@ -28,7 +28,7 @@
 
 /// Acquisition rank within an owner: coarse locks first, finer ones after.
 pub mod rank {
-    /// Shard maps (and the serve registry's maps).
+    /// Shard maps (and the serve registry's maps and warm-start state).
     pub const SHARD: u8 = 0;
 }
 

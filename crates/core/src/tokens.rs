@@ -8,21 +8,12 @@
 /// Iterate an attribute value's whitespace-separated tokens without
 /// allocating.
 ///
-/// This is the allocation-free primitive behind [`tokenize`],
-/// [`token_count`], [`normalize_ws`] and the `drop_*_k` helpers; hot callers
-/// (blocking, similarity measures, augmentation) route through it so the
-/// per-call `Vec<&str>` the old API forced never materializes.
+/// This is the primitive behind [`token_count`], [`normalize_ws`] and the
+/// `drop_*_k` helpers; hot callers (blocking, similarity measures,
+/// augmentation) iterate it directly instead of collecting a `Vec<&str>`.
 #[inline]
 pub fn tokens(value: &str) -> std::str::SplitWhitespace<'_> {
     value.split_whitespace()
-}
-
-/// Split an attribute value into whitespace-separated tokens.
-///
-/// Empty values (the `NaN` cells of Figure 1) yield an empty vector. Prefer
-/// [`tokens`] when the collection is consumed once — it avoids the `Vec`.
-pub fn tokenize(value: &str) -> Vec<&str> {
-    tokens(value).collect()
 }
 
 /// Number of whitespace-separated tokens in `value`.
@@ -30,14 +21,8 @@ pub fn token_count(value: &str) -> usize {
     tokens(value).count()
 }
 
-/// Re-join tokens with single spaces (the inverse of [`tokenize`] up to
-/// whitespace normalization).
-pub fn join(tokens: &[&str]) -> String {
-    tokens.join(" ")
-}
-
-/// Join any token iterator with single spaces, without an intermediate
-/// `Vec<&str>`.
+/// Join a token iterator with single spaces (the inverse of [`tokens`] up
+/// to whitespace normalization), without an intermediate `Vec<&str>`.
 pub fn join_iter<'a>(tokens: impl IntoIterator<Item = &'a str>) -> String {
     let mut out = String::new();
     for t in tokens {
@@ -97,21 +82,25 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn collected(value: &str) -> Vec<&str> {
+        tokens(value).collect()
+    }
+
     #[test]
     fn tokenize_basic() {
         assert_eq!(
-            tokenize("sony bravia theater"),
+            collected("sony bravia theater"),
             vec!["sony", "bravia", "theater"]
         );
-        assert_eq!(tokenize("  spaced   out  "), vec!["spaced", "out"]);
-        assert!(tokenize("").is_empty());
-        assert!(tokenize("   ").is_empty());
+        assert_eq!(collected("  spaced   out  "), vec!["spaced", "out"]);
+        assert!(collected("").is_empty());
+        assert!(collected("   ").is_empty());
     }
 
     #[test]
     fn token_count_matches_tokenize() {
         for s in ["", "a", "a b", " a  b   c "] {
-            assert_eq!(token_count(s), tokenize(s).len());
+            assert_eq!(token_count(s), collected(s).len());
         }
     }
 
@@ -128,10 +117,9 @@ mod tests {
     }
 
     #[test]
-    fn iterator_tokenizer_matches_vec_tokenizer() {
+    fn join_iter_matches_slice_join() {
         for s in ["", "   ", "a", " a  b   c ", "sony bravia theater"] {
-            assert_eq!(tokens(s).collect::<Vec<_>>(), tokenize(s));
-            assert_eq!(join_iter(tokens(s)), join(&tokenize(s)));
+            assert_eq!(join_iter(tokens(s)), collected(s).join(" "));
         }
     }
 
@@ -159,17 +147,16 @@ mod tests {
 
         #[test]
         fn drop_last_keeps_prefix(s in "[a-z]{1,6}( [a-z]{1,6}){1,8}") {
-            let toks = tokenize(&s).iter().map(|t| t.to_string()).collect::<Vec<_>>();
+            let toks = collected(&s);
             if let Some(d) = drop_last_k(&s, 1) {
-                let dt = tokenize(&d).iter().map(|t| t.to_string()).collect::<Vec<_>>();
+                let dt = collected(&d);
                 prop_assert_eq!(&toks[..toks.len() - 1], &dt[..]);
             }
         }
 
         #[test]
         fn join_tokenize_roundtrip(s in "[a-z]{1,6}( [a-z]{1,6}){0,8}") {
-            let toks = tokenize(&s);
-            prop_assert_eq!(join(&toks), normalize_ws(&s));
+            prop_assert_eq!(collected(&s).join(" "), normalize_ws(&s));
         }
     }
 }

@@ -15,9 +15,9 @@
 //!   their inputs (`no-nondeterminism`);
 //! - float→text conversion is centralized in `wire::json`
 //!   (`no-float-format`);
-//! - the sharded caches and the serve registry never acquire a second
-//!   lock while one is held (`lock-order`), cross-checked dynamically by
-//!   `certa_core::lockcheck` in debug builds.
+//! - the sharded caches, the serve registry and its warm-start state
+//!   never acquire a second lock while one is held (`lock-order`),
+//!   cross-checked dynamically by `certa_core::lockcheck` in debug builds.
 
 use crate::rules::Level;
 
@@ -136,6 +136,7 @@ impl Default for Policy {
                         "crates/models/src/cache.rs",
                         "crates/models/src/memo.rs",
                         "crates/serve/src/state.rs",
+                        "crates/serve/src/warm.rs",
                         "crates/core/src/value.rs",
                     ],
                     exclude: &[],
@@ -253,6 +254,17 @@ mod tests {
         assert!(!p
             .rules_for("crates/ml/src/mlp.rs")
             .contains(&("no-panic-path", Level::Deny)));
+    }
+
+    #[test]
+    fn serve_lock_owners_carry_the_lock_order_contract() {
+        let p = Policy::default();
+        for file in ["crates/serve/src/state.rs", "crates/serve/src/warm.rs"] {
+            assert!(
+                p.rules_for(file).contains(&("lock-order", Level::Deny)),
+                "{file}"
+            );
+        }
     }
 
     #[test]

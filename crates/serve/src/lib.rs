@@ -40,7 +40,9 @@
 //!   the synthetic dataset, trains the matcher family, wraps it in the
 //!   sharded [`CachingMatcher`](certa_models::CachingMatcher), and pairs it
 //!   with a [`Certa`](certa_explain::Certa) explainer configured from the
-//!   server's `(seed, τ)`.
+//!   server's `(seed, τ)`. With a `--store-dir`, the private `warm` module
+//!   loads, transfers and persists models and partitions through
+//!   `certa-store` instead.
 //! * [`ops`] — the one typed metrics path behind `GET /metrics`: lock-free
 //!   [`Counter`]s and a log2 [`LatencyHistogram`], rendered by one
 //!   [`Exposition`] that owns the Prometheus text format. [`ServerMetrics`]
@@ -80,6 +82,7 @@ pub mod reactor;
 pub mod router;
 pub mod server;
 pub mod state;
+mod warm;
 pub mod wire;
 
 pub use http::{HttpError, Request, Response};

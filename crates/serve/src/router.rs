@@ -443,13 +443,7 @@ impl ClusterParams {
 /// A side-qualified cluster member as a wire object.
 fn node_to_json(node: certa_cluster::ClusterNode) -> Json {
     Json::obj([
-        (
-            "side",
-            Json::str(match node.side {
-                Side::Left => "left",
-                Side::Right => "right",
-            }),
-        ),
+        ("side", Json::str(dto::side_name(node.side))),
         ("id", Json::num(node.id.0 as f64)),
     ])
 }

@@ -16,32 +16,27 @@
 //! one `OnceLock` initializer; different names never block each other), and
 //! every later request reuses the entry and its warm score cache.
 //!
-//! With a `--store-dir`, first-touch resolution goes through `certa-store`
-//! instead: load-or-train-then-persist. A verified artifact pair for the
-//! `(dataset, model, scale, seed)` world skips training entirely (the
-//! decoded model scores bit-identically to the trained one, so the
-//! byte-equality guarantee is unchanged); a miss trains as before and
-//! persists the artifacts so the *next* process warm-starts. `/metrics`
-//! reports hits, misses, and cumulative load latency.
+//! [`Registry`] keeps the model slots, the partitions held for
+//! `/v1/entity`, its counters and their `/metrics` rendering. Everything a
+//! `--store-dir` adds (load-or-train-then-persist, the repository index
+//! and nearest-model transfer, partition save/load) lives in the private
+//! `warm` module (`warm.rs`), whose owner the registry holds only when a
+//! store directory is set.
 
 use crate::http::HttpError;
 use crate::ops::{Counter, Exposition, Kind};
+use crate::warm::WarmStart;
+use crate::wire::dto::side_name;
 use certa_cluster::Partition;
 use certa_core::{lockcheck, BoxedMatcher, Dataset, Record, Side};
 use certa_datagen::{generate, DatasetId, Scale};
 use certa_explain::{Certa, CertaConfig};
-use certa_models::{
-    fine_tune_model, train_model, CacheStats, CachingMatcher, ErModel, ModelKind, TrainConfig,
-};
-use certa_store::{
-    build_signature, decode_er_model, peek_model_kind, ModelSignature, ModelStore, Repository,
-    StoreError,
-};
+use certa_models::{train_model, CacheStats, CachingMatcher, ErModel, ModelKind, TrainConfig};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How first-touch resolution treats a store miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,10 +204,7 @@ impl ModelEntry {
                         format!(
                             "field `{field}`: record has {} values but the {} table of {} has {arity} attributes",
                             r.arity(),
-                            match side {
-                                Side::Left => "left",
-                                Side::Right => "right",
-                            },
+                            side_name(side),
                             self.dataset_id,
                         ),
                     ));
@@ -225,10 +217,7 @@ impl ModelEntry {
                     code: "unknown_record",
                     message: format!(
                         "field `{field}`: no record {id} in the {} table of {}",
-                        match side {
-                            Side::Left => "left",
-                            Side::Right => "right",
-                        },
+                        side_name(side),
                         self.dataset_id,
                     ),
                     keep_alive: true,
@@ -283,30 +272,11 @@ pub struct RegistryCounters {
     pub entity_lookups: Counter,
 }
 
-/// Quality record of one nearest-model transfer, per canonical model name.
-#[derive(Debug, Clone, Copy)]
-struct TransferQuality {
-    /// Signature similarity between the target dataset and the donor.
-    similarity: f64,
-    /// Test-split F1 of the fine-tuned (served) model.
-    tuned_f1: f64,
-}
-
-/// Transfer-mode state behind one lock: the lazily scanned repository
-/// index plus per-model quality records for `/metrics`.
-#[derive(Default)]
-struct TransferState {
-    /// `None` until the first transfer attempt scans the store (and again
-    /// after [`Registry::reload`] invalidates it).
-    repo: Option<Repository>,
-    quality: BTreeMap<String, TransferQuality>,
-}
-
 /// Lazy, memoized name → [`ModelEntry`] resolution.
 pub struct Registry {
     config: ServeConfig,
-    /// The warm-start store, when `config.store_dir` is set.
-    store: Option<ModelStore>,
+    /// Store-backed resolution, when `config.store_dir` is set.
+    warm: Option<WarmStart>,
     // BTreeMap so `/v1/models` and `/metrics` list entries in stable order.
     //
     // Concurrency: this map lock guards only slot lookup/insertion — an
@@ -322,9 +292,6 @@ pub struct Registry {
     // entries map (key 0); neither lock is ever held while acquiring the
     // other.
     partitions: Mutex<BTreeMap<String, Arc<PartitionEntry>>>,
-    // Repository index + transfer quality records (same-rank key 2; never
-    // held while acquiring the entries or partitions locks).
-    transfer: Mutex<TransferState>,
     /// Store, transfer, block and cluster accounting.
     pub counters: RegistryCounters,
 }
@@ -332,25 +299,17 @@ pub struct Registry {
 impl Registry {
     /// An empty registry serving the given configuration.
     pub fn new(config: ServeConfig) -> Self {
-        let store = config.store_dir.as_ref().map(ModelStore::new);
+        let warm = config
+            .store_dir
+            .as_deref()
+            .map(|dir| WarmStart::new(dir, &config));
         Registry {
             config,
-            store,
+            warm,
             entries: Mutex::new(BTreeMap::new()),
             partitions: Mutex::new(BTreeMap::new()),
-            transfer: Mutex::new(TransferState::default()),
             counters: RegistryCounters::default(),
         }
-    }
-
-    /// Count one failed best-effort save of `what` and log it; the request
-    /// that triggered the save still succeeds.
-    fn persist_failed(&self, what: &str, store: &ModelStore, e: &StoreError) {
-        self.counters.store_save_errors.inc();
-        eprintln!(
-            "certa-serve: could not persist {what} to {}: {e}",
-            store.dir().display()
-        );
     }
 
     /// Account one `/v1/cluster` run, hold its partition for `/v1/entity`
@@ -367,25 +326,14 @@ impl Registry {
     ) {
         self.counters.cluster_runs.inc();
         self.counters.cluster_entities.add(partition.len() as u64);
-        if let Some(store) = &self.store {
-            let (scale, seed) = (self.config.scale, self.config.seed);
-            if let Err(e) = store.save_partition(
-                entry.dataset_id,
-                entry.kind,
-                scale,
-                seed,
-                &partition,
-                clusterer,
-                threshold,
-            ) {
-                self.persist_failed(&format!("partition for {}", entry.name), store, &e);
-            }
-        }
         let stored = Arc::new(PartitionEntry {
             partition,
             clusterer: clusterer.to_string(),
             threshold,
         });
+        if let Some(warm) = &self.warm {
+            warm.save_partition(entry, &stored, &self.counters);
+        }
         let owner = self as *const Registry as usize;
         let _held = lockcheck::acquire(owner, lockcheck::rank::SHARD, 1);
         self.partitions.lock().insert(entry.name.clone(), stored);
@@ -407,20 +355,7 @@ impl Registry {
         // Warm-start path: decode outside the map lock (it is real work),
         // then publish. A concurrent `/v1/cluster` run wins any race —
         // fresher than the persisted artifact by construction.
-        let store = self.store.as_ref()?;
-        let (scale, seed) = (self.config.scale, self.config.seed);
-        let t0 = Instant::now();
-        let loaded = store
-            .load_partition(entry.dataset_id, entry.kind, scale, seed)
-            .ok()?;
-        self.counters
-            .store_load_micros
-            .add(t0.elapsed().as_micros() as u64);
-        let stored = Arc::new(PartitionEntry {
-            partition: Arc::new(loaded.partition),
-            clusterer: loaded.clusterer,
-            threshold: loaded.threshold,
-        });
+        let stored = Arc::new(self.warm.as_ref()?.load_partition(entry, &self.counters)?);
         let _held = lockcheck::acquire(owner, lockcheck::rank::SHARD, 1);
         Some(Arc::clone(
             self.partitions
@@ -458,8 +393,8 @@ impl Registry {
         Ok((dataset_id, kind))
     }
 
-    /// Resolve a name: warm-start from the store when configured, else
-    /// generate + train (persisting the result for the next process).
+    /// Resolve a name: warm-start from the store when configured (persisting
+    /// a fresh model for the next process), else generate + train.
     pub fn resolve(&self, name: &str) -> Result<Arc<ModelEntry>, HttpError> {
         self.resolve_with(name, |dataset_id, kind, canonical| {
             self.materialize(dataset_id, kind, canonical)
@@ -474,7 +409,14 @@ impl Registry {
         kind: ModelKind,
         canonical: &str,
     ) -> Arc<ModelEntry> {
-        let (dataset, model) = self.load_or_train(dataset_id, kind);
+        let (dataset, model) = match &self.warm {
+            Some(warm) => warm.load_or_train(dataset_id, kind, canonical, &self.counters),
+            None => {
+                let dataset = generate(dataset_id, self.config.scale, self.config.seed);
+                let (model, _report) = train_model(kind, &dataset, &TrainConfig::for_kind(kind));
+                (dataset, model)
+            }
+        };
         let model = Arc::new(model);
         let cache = CachingMatcher::new(Arc::clone(&model) as BoxedMatcher);
         Arc::new(ModelEntry {
@@ -503,9 +445,8 @@ impl Registry {
             let _held = lockcheck::acquire(owner, lockcheck::rank::SHARD, 0);
             self.entries.lock().keys().cloned().collect()
         };
-        {
-            let _held = lockcheck::acquire(owner, lockcheck::rank::SHARD, 2);
-            self.transfer.lock().repo = None;
+        if let Some(warm) = &self.warm {
+            warm.drop_index();
         }
         let mut swapped: Vec<(String, EntrySlot)> = Vec::with_capacity(names.len());
         for name in &names {
@@ -553,180 +494,6 @@ impl Registry {
         lockcheck::assert_none_held(owner, "entry materialization");
         let entry = slot.get_or_init(|| build(dataset_id, kind, &canonical));
         Ok(Arc::clone(entry))
-    }
-
-    /// The load-or-train-then-persist step behind first-touch resolution.
-    ///
-    /// A verified store pair (dataset + model artifacts for this exact
-    /// `(scale, seed)` world) short-circuits generation and training; any
-    /// failure — absent files, checksum mismatch, stale format version —
-    /// falls back to the train path, which then persists both artifacts
-    /// best-effort (a read-only store directory degrades to PR-3
-    /// behaviour, it never fails the request).
-    fn load_or_train(&self, dataset_id: DatasetId, kind: ModelKind) -> (Dataset, ErModel) {
-        let (scale, seed) = (self.config.scale, self.config.seed);
-        // Fast path: both artifacts load and verify.
-        let stored_dataset = self.store.as_ref().and_then(|store| {
-            let t0 = Instant::now();
-            let dataset = store.load_dataset(dataset_id, scale, seed).ok()?;
-            let model = store.load_model(dataset_id, kind, scale, seed);
-            // Whatever actually loaded counts toward the load-latency
-            // metric — on the dataset-only path the decode work was real
-            // even though the entry still has to train.
-            self.counters
-                .store_load_micros
-                .add(t0.elapsed().as_micros() as u64);
-            if let Ok(model) = model {
-                self.counters.store_hits.inc();
-                return Some(Ok((dataset, model)));
-            }
-            // Dataset loaded but no valid model: train on the loaded
-            // dataset (decoded datasets featurize bit-identically to
-            // generated ones, so the trained weights are identical too).
-            Some(Err(dataset))
-        });
-        let (dataset, dataset_was_stored) = match stored_dataset {
-            Some(Ok(pair)) => return pair,
-            Some(Err(dataset)) => {
-                self.counters.store_misses.inc();
-                (dataset, true)
-            }
-            None => {
-                if self.store.is_some() {
-                    self.counters.store_misses.inc();
-                }
-                (generate(dataset_id, scale, seed), false)
-            }
-        };
-        // Store miss: with `--transfer nearest`, try warm-starting from the
-        // nearest stored model before falling back to a cold train.
-        if let Some(model) = self.try_transfer(dataset_id, kind, &dataset, dataset_was_stored) {
-            return (dataset, model);
-        }
-        let (model, _report) = train_model(kind, &dataset, &TrainConfig::for_kind(kind));
-        if let Some(store) = &self.store {
-            let saved = if dataset_was_stored {
-                store.save_model_signed(dataset_id, kind, scale, seed, &model, &dataset)
-            } else {
-                store
-                    .save_dataset(dataset_id, scale, seed, &dataset)
-                    .and_then(|_| {
-                        store.save_model_signed(dataset_id, kind, scale, seed, &model, &dataset)
-                    })
-            };
-            if let Err(e) = saved {
-                self.persist_failed(&format!("{dataset_id}/{}", kind.paper_name()), store, &e);
-            } else if self.config.transfer == TransferMode::Nearest {
-                // A cold save may postdate the repository scan; drop the
-                // index so the next transfer attempt sees this artifact.
-                let owner = self as *const Registry as usize;
-                let _held = lockcheck::acquire(owner, lockcheck::rank::SHARD, 2);
-                self.transfer.lock().repo = None;
-            }
-        }
-        (dataset, model)
-    }
-
-    /// The `--transfer nearest` warm-start behind a store miss: rank stored
-    /// models by dataset-signature similarity, and fine-tune from the
-    /// nearest same-family donor above [`ServeConfig::transfer_floor`]
-    /// instead of cold-initializing. The tuned model is persisted signed
-    /// (so the next process gets a plain store hit) and its donor
-    /// similarity and tuned test-F1 land in `/metrics`. The quality cost
-    /// against a cold train is gated offline by `bench_repo`, so serving
-    /// never pays for a second, cold training run.
-    ///
-    /// Returns `None` (counting a transfer miss) when the mode is off, no
-    /// store is configured, or no qualifying donor fine-tunes successfully.
-    fn try_transfer(
-        &self,
-        dataset_id: DatasetId,
-        kind: ModelKind,
-        dataset: &Dataset,
-        dataset_was_stored: bool,
-    ) -> Option<ErModel> {
-        if self.config.transfer != TransferMode::Nearest {
-            return None;
-        }
-        let store = self.store.as_ref()?;
-        let (scale, seed) = (self.config.scale, self.config.seed);
-        let canonical = format!("{}/{}", dataset_id.code(), kind.paper_name());
-        let query = build_signature(dataset);
-        let owner = self as *const Registry as usize;
-        // Scan outside the transfer lock (it reads every model artifact's
-        // signature section), then install the index if still absent.
-        let held = {
-            let _held = lockcheck::acquire(owner, lockcheck::rank::SHARD, 2);
-            self.transfer.lock().repo.clone()
-        };
-        let snapshot = match held {
-            Some(repo) => repo,
-            None => {
-                let scanned = Repository::scan(store).unwrap_or_default();
-                let _held = lockcheck::acquire(owner, lockcheck::rank::SHARD, 2);
-                self.transfer.lock().repo.get_or_insert(scanned).clone()
-            }
-        };
-        let candidates: Vec<(f64, PathBuf)> = snapshot
-            .nearest(&query, snapshot.len())
-            .into_iter()
-            .filter(|(sim, _)| *sim >= self.config.transfer_floor)
-            .map(|(sim, e)| (sim, e.path.clone()))
-            .collect();
-        for (similarity, path) in candidates {
-            let Ok(bytes) = std::fs::read(&path) else {
-                continue;
-            };
-            // Cheap family gate before decoding any weights.
-            if peek_model_kind(&bytes) != Ok(kind) {
-                continue;
-            }
-            let Ok(base) = decode_er_model(&bytes) else {
-                continue;
-            };
-            let cfg = TrainConfig::for_kind(kind);
-            let Some((tuned, report)) = fine_tune_model(kind, dataset, &base, &cfg) else {
-                continue;
-            };
-            let quality = TransferQuality {
-                similarity,
-                tuned_f1: report.test_f1,
-            };
-            self.counters.transfer_hits.inc();
-            if !dataset_was_stored {
-                if let Err(e) = store.save_dataset(dataset_id, scale, seed, dataset) {
-                    self.persist_failed(&format!("{dataset_id} dataset"), store, &e);
-                }
-            }
-            let saved = store.save_model_signed(dataset_id, kind, scale, seed, &tuned, dataset);
-            {
-                let _held = lockcheck::acquire(owner, lockcheck::rank::SHARD, 2);
-                let mut t = self.transfer.lock();
-                match &saved {
-                    Ok(at) => {
-                        if let Some(repo) = &mut t.repo {
-                            repo.add(
-                                at.clone(),
-                                ModelSignature {
-                                    dataset: dataset_id.code().to_string(),
-                                    scale: scale.to_string(),
-                                    seed,
-                                    signature: query.clone(),
-                                },
-                            );
-                        }
-                    }
-                    Err(_) => t.repo = None,
-                }
-                t.quality.insert(canonical.clone(), quality);
-            }
-            if let Err(e) = saved {
-                self.persist_failed(&format!("transferred {canonical}"), store, &e);
-            }
-            return Some(tuned);
-        }
-        self.counters.transfer_misses.inc();
-        None
     }
 
     /// Snapshot of the resolved entries, in name order.
@@ -815,16 +582,11 @@ impl Registry {
             out.scalar(Kind::Counter, name, counter);
         }
         // Per transferred model: donor similarity and the tuned test-F1.
-        let quality: Vec<(String, TransferQuality)> = {
-            let owner = self as *const Registry as usize;
-            let _held = lockcheck::acquire(owner, lockcheck::rank::SHARD, 2);
-            self.transfer
-                .lock()
-                .quality
-                .iter()
-                .map(|(name, q)| (name.clone(), *q))
-                .collect()
-        };
+        let quality = self
+            .warm
+            .as_ref()
+            .map(WarmStart::quality)
+            .unwrap_or_default();
         out.family(
             Kind::Gauge,
             "certa_serve_transfer_similarity",
@@ -873,7 +635,9 @@ mod tests {
     use super::*;
     use crate::wire::RecordDto;
     use certa_core::{Matcher, RecordId};
+    use certa_store::ModelStore;
     use std::sync::atomic::Ordering;
+    use std::time::Instant;
 
     fn exposition(registry: &Registry) -> String {
         let mut out = Exposition::default();
@@ -1138,6 +902,41 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    #[test]
+    fn transfer_save_failure_counts_one_error() {
+        let dir = temp_dir("transfer-unwritable");
+        let config = ServeConfig {
+            store_dir: Some(dir.clone()),
+            transfer: TransferMode::Nearest,
+            ..ServeConfig::default()
+        };
+        let (id, kind, scale, seed) = (
+            DatasetId::FZ,
+            ModelKind::DeepMatcher,
+            config.scale,
+            config.seed,
+        );
+        // A signed sibling-seed donor, and directories where the target's
+        // dataset and model artifacts would land, so both saves fail.
+        let store = ModelStore::new(&dir);
+        let d = generate(id, scale, seed + 1);
+        let (donor, _) = train_model(kind, &d, &TrainConfig::for_kind(kind));
+        store
+            .save_model_signed(id, kind, scale, seed + 1, &donor, &d)
+            .unwrap();
+        std::fs::create_dir_all(store.dataset_path(id, scale, seed)).unwrap();
+        std::fs::create_dir_all(store.model_path(id, kind, scale, seed)).unwrap();
+
+        let registry = Registry::new(config);
+        registry.resolve("FZ/DeepMatcher").unwrap();
+        let c = &registry.counters;
+        assert_eq!((c.transfer_hits.get(), c.transfer_misses.get()), (1, 0));
+        // The dataset save fails first and stops the model save, as on the
+        // cold path: one error, not one per artifact.
+        assert_eq!(c.store_save_errors.get(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// The registry-lock fix, proven without timing assumptions: two
     /// first-touch resolutions of *different* names run their builders
     /// concurrently — each builder blocks until it has seen the other
@@ -1175,22 +974,8 @@ mod tests {
                                     std::thread::yield_now();
                                 }
                                 // Both builders are concurrently inside —
-                                // the property holds; build a real entry.
-                                let dataset =
-                                    generate(dataset_id, Scale::Smoke, registry.config().seed);
-                                let (model, _) =
-                                    train_model(kind, &dataset, &TrainConfig::for_kind(kind));
-                                let model = Arc::new(model);
-                                let cache = CachingMatcher::new(Arc::clone(&model) as BoxedMatcher);
-                                Arc::new(ModelEntry {
-                                    name: canonical.to_string(),
-                                    dataset_id,
-                                    kind,
-                                    dataset,
-                                    model,
-                                    cache,
-                                    certa: Certa::new(registry.config().certa_config()),
-                                })
+                                // the property holds; build the real entry.
+                                registry.materialize(dataset_id, kind, canonical)
                             })
                             .unwrap()
                     })

@@ -39,6 +39,14 @@ fn expected(field: &str, message: impl Into<String>) -> DtoError {
 
 // ---------------------------------------------------------------- encoding
 
+/// The wire spelling of a table side: `"left"` or `"right"`.
+pub fn side_name(side: Side) -> &'static str {
+    match side {
+        Side::Left => "left",
+        Side::Right => "right",
+    }
+}
+
 /// `{"id":0,"values":["a","b"]}`
 pub fn record_to_json(r: &Record) -> Json {
     Json::obj([

@@ -5,15 +5,17 @@
 //! model artifact's SIGNATURE section (container structure and checksums
 //! are verified; no weights are decoded), and keeps the result as a
 //! path-sorted in-memory index. Saves made while the index is live are
-//! folded in with [`Repository::add`] — scan once, incremental add after.
+//! folded in with [`Repository::add`], which takes the entry
+//! [`ModelStore::save_model_signed`] returns — scan once, incremental add
+//! after.
 //!
 //! [`Repository::nearest`] ranks stored models against a query
 //! [`Signature`] by [`Signature::similarity`], highest first with path as
 //! the tiebreak — a total, deterministic order, so `certa-store search`
-//! output is byte-identical across runs. Unsigned artifacts (saved before
-//! signatures existed in spirit, i.e. through the plain `save_model`
-//! path) and unreadable files are skipped and counted, never silently
-//! conflated with an empty store.
+//! output is byte-identical across runs. Unsigned model artifacts (plain
+//! `encode_er_model_with_memo` bytes, e.g. from before signatures existed)
+//! and unreadable files are skipped and counted, never silently conflated
+//! with an empty store.
 //!
 //! Like `signature.rs`, this module is covered by certa-lint's
 //! determinism rules at deny level with zero suppressions.
@@ -72,11 +74,12 @@ impl Repository {
     }
 
     /// Fold a just-saved artifact into the index, replacing any previous
-    /// entry at the same path.
-    pub fn add(&mut self, path: PathBuf, signature: ModelSignature) {
-        self.entries.retain(|e| e.path != path);
-        let at = self.entries.partition_point(|e| e.path < path);
-        self.entries.insert(at, RepoEntry { path, signature });
+    /// entry at the same path. The index stays path-sorted, so it equals a
+    /// rescan of the same files.
+    pub fn add(&mut self, entry: RepoEntry) {
+        self.entries.retain(|e| e.path != entry.path);
+        let at = self.entries.partition_point(|e| e.path < entry.path);
+        self.entries.insert(at, entry);
     }
 
     /// Indexed entries, path-sorted.
@@ -118,6 +121,7 @@ impl Repository {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::encode_er_model_with_memo;
     use crate::signature::build_signature;
     use certa_datagen::{generate, DatasetId, Scale};
     use certa_models::{train_model, ModelKind, TrainConfig};
@@ -141,6 +145,7 @@ mod tests {
         store
             .save_model_signed(id, kind, Scale::Smoke, seed, &model, &d)
             .unwrap()
+            .path
     }
 
     #[test]
@@ -149,13 +154,15 @@ mod tests {
         let fz7 = save_signed(&store, DatasetId::FZ, 7);
         let fz8 = save_signed(&store, DatasetId::FZ, 8);
 
-        // An unsigned model (plain save path) and a dataset artifact.
+        // An unsigned model (no SIGNATURE section) and a dataset artifact.
         let d = generate(DatasetId::AB, Scale::Smoke, 7);
         let kind = ModelKind::DeepMatcher;
         let (model, _) = train_model(kind, &d, &TrainConfig::for_kind(kind));
-        store
-            .save_model(DatasetId::AB, kind, Scale::Smoke, 7, &model)
-            .unwrap();
+        std::fs::write(
+            store.model_path(DatasetId::AB, kind, Scale::Smoke, 7),
+            encode_er_model_with_memo(&model),
+        )
+        .unwrap();
         store
             .save_dataset(DatasetId::AB, Scale::Smoke, 7, &d)
             .unwrap();
@@ -207,9 +214,36 @@ mod tests {
 
         let mut repo = repo;
         let n = repo.len();
-        let sig = repo.entries()[0].signature.clone();
-        repo.add(fz7.clone(), sig);
+        let signature = repo.entries()[0].signature.clone();
+        repo.add(RepoEntry {
+            path: fz7.clone(),
+            signature,
+        });
         assert_eq!(repo.len(), n, "same-path add replaces, not duplicates");
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn signed_save_returns_the_entry_a_scan_reads_back() {
+        let store = temp_store("entry");
+        let d = generate(DatasetId::FZ, Scale::Smoke, 7);
+        let kind = ModelKind::DeepMatcher;
+        let (model, _) = train_model(kind, &d, &TrainConfig::for_kind(kind));
+        let saved = store
+            .save_model_signed(DatasetId::FZ, kind, Scale::Smoke, 7, &model, &d)
+            .unwrap();
+        assert_eq!(
+            saved.path,
+            store.model_path(DatasetId::FZ, kind, Scale::Smoke, 7)
+        );
+        let scanned = Repository::scan(&store).unwrap();
+        assert_eq!(scanned.entries(), std::slice::from_ref(&saved));
+
+        // Folding the returned entry into an index that predates the save
+        // gives the rescan's index.
+        let mut folded = Repository::default();
+        folded.add(saved);
+        assert_eq!(folded.entries(), scanned.entries());
         let _ = std::fs::remove_dir_all(store.dir());
     }
 }

@@ -17,11 +17,9 @@
 use crate::container::{ArtifactKind, Container};
 use crate::dataset::{decode_dataset, encode_dataset};
 use crate::error::{Result, StoreError};
-use crate::model::{
-    decode_er_model, decode_rule_matcher, encode_er_model_signed, encode_er_model_with_memo,
-    peek_model_kind,
-};
+use crate::model::{decode_er_model, decode_rule_matcher, encode_er_model_signed, peek_model_kind};
 use crate::partition::{decode_partition, encode_partition, StoredPartition};
+use crate::repository::RepoEntry;
 use crate::signature::{build_signature, ModelSignature};
 use crate::snapshot::decode_score_cache;
 use certa_cluster::Partition;
@@ -130,23 +128,11 @@ impl ModelStore {
     }
 
     /// Persist a trained model (including its warm featurization memo, when
-    /// populated). Returns the written path.
-    pub fn save_model(
-        &self,
-        id: DatasetId,
-        kind: ModelKind,
-        scale: Scale,
-        seed: u64,
-        model: &ErModel,
-    ) -> Result<PathBuf> {
-        let path = self.model_path(id, kind, scale, seed);
-        self.write_atomic(&path, &encode_er_model_with_memo(model))?;
-        Ok(path)
-    }
-
-    /// [`ModelStore::save_model`] plus an embedded SIGNATURE section built
-    /// from the training dataset — the form [`crate::Repository`] indexes
-    /// and `certa-store search` ranks. Returns the written path.
+    /// populated) with an embedded SIGNATURE section built from the training
+    /// dataset — the form [`crate::Repository`] indexes and `certa-store
+    /// search` ranks. Returns the [`RepoEntry`] a scan of the written file
+    /// reads back, so a live index folds the save in with
+    /// [`crate::Repository::add`].
     pub fn save_model_signed(
         &self,
         id: DatasetId,
@@ -155,16 +141,16 @@ impl ModelStore {
         seed: u64,
         model: &ErModel,
         dataset: &Dataset,
-    ) -> Result<PathBuf> {
-        let ms = ModelSignature {
+    ) -> Result<RepoEntry> {
+        let signature = ModelSignature {
             dataset: id.code().to_string(),
             scale: scale.to_string(),
             seed,
             signature: build_signature(dataset),
         };
         let path = self.model_path(id, kind, scale, seed);
-        self.write_atomic(&path, &encode_er_model_signed(model, &ms))?;
-        Ok(path)
+        self.write_atomic(&path, &encode_er_model_signed(model, &signature))?;
+        Ok(RepoEntry { path, signature })
     }
 
     /// Load + fully verify a model artifact, additionally checking that the
@@ -405,7 +391,7 @@ mod tests {
             .save_dataset(DatasetId::FZ, Scale::Smoke, 11, &d)
             .unwrap();
         store
-            .save_model(DatasetId::FZ, kind, Scale::Smoke, 11, &model)
+            .save_model_signed(DatasetId::FZ, kind, Scale::Smoke, 11, &model, &d)
             .unwrap();
         assert_eq!(store.list().unwrap().len(), 2);
 

@@ -1,7 +1,6 @@
 //! Cosine similarity over IDF-weighted term-frequency vectors.
 
 use certa_core::hash::FxHashMap;
-use certa_core::tokens::tokens;
 
 fn tf<'a>(toks: impl IntoIterator<Item = &'a str>) -> FxHashMap<&'a str, f64> {
     let mut m: FxHashMap<&str, f64> = FxHashMap::default();
@@ -63,11 +62,6 @@ impl CorpusStats {
     }
 
     /// Add one document's distinct tokens.
-    pub fn add_document(&mut self, text: &str) {
-        self.add_document_tokens(tokens(text));
-    }
-
-    /// [`CorpusStats::add_document`] over a pre-tokenized view.
     pub fn add_document_tokens<'a>(&mut self, toks: impl IntoIterator<Item = &'a str>) {
         self.doc_count += 1;
         let mut seen: certa_core::hash::FxHashSet<&str> = certa_core::hash::FxHashSet::default();
@@ -108,13 +102,8 @@ impl CorpusStats {
         (1.0 + self.doc_count as f64 / (1.0 + df as f64)).ln()
     }
 
-    /// TF-IDF cosine similarity under this corpus' weights.
-    pub fn cosine_tfidf(&self, a: &str, b: &str) -> f64 {
-        self.cosine_tfidf_tokens(tokens(a), tokens(b))
-    }
-
-    /// [`CorpusStats::cosine_tfidf`] over pre-tokenized views (identical
-    /// term-frequency maps, hence bit-identical results).
+    /// TF-IDF cosine similarity of two token views under this corpus'
+    /// weights.
     pub fn cosine_tfidf_tokens<'a>(
         &self,
         a: impl IntoIterator<Item = &'a str>,
@@ -132,6 +121,7 @@ impl CorpusStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use certa_core::tokens::tokens;
     use proptest::prelude::*;
 
     /// TF-IDF cosine under a corpus of one document holding every test
@@ -139,7 +129,7 @@ mod tests {
     /// plain term-frequency one.
     fn tf_cosine(a: &str, b: &str) -> f64 {
         let mut corpus = CorpusStats::new();
-        corpus.add_document("a b c");
+        corpus.add_document_tokens(tokens("a b c"));
         corpus.cosine_tfidf_tokens(tokens(a), tokens(b))
     }
 
@@ -164,9 +154,9 @@ mod tests {
     fn idf_downweights_common_tokens() {
         let mut c = CorpusStats::new();
         for _ in 0..50 {
-            c.add_document("sony product");
+            c.add_document_tokens(tokens("sony product"));
         }
-        c.add_document("davis50b rare");
+        c.add_document_tokens(tokens("davis50b rare"));
         assert!(c.idf("davis50b") > c.idf("sony"));
         assert!(c.idf("unseen-token") > c.idf("davis50b"));
         assert_eq!(c.doc_count(), 51);
@@ -175,8 +165,8 @@ mod tests {
     #[test]
     fn parts_roundtrip_preserves_weights() {
         let mut c = CorpusStats::new();
-        c.add_document("sony tv common");
-        c.add_document("sony rare davis50b");
+        c.add_document_tokens(tokens("sony tv common"));
+        c.add_document_tokens(tokens("sony rare davis50b"));
         let entries: Vec<(String, usize)> =
             c.df_entries().map(|(t, n)| (t.to_string(), n)).collect();
         let rebuilt = CorpusStats::from_parts(c.doc_count(), entries);
@@ -184,9 +174,10 @@ mod tests {
         for tok in ["sony", "tv", "davis50b", "unseen"] {
             assert_eq!(rebuilt.idf(tok).to_bits(), c.idf(tok).to_bits());
         }
+        let (a, b) = (tokens("sony tv"), tokens("sony davis50b"));
         assert_eq!(
-            rebuilt.cosine_tfidf("sony tv", "sony davis50b").to_bits(),
-            c.cosine_tfidf("sony tv", "sony davis50b").to_bits()
+            rebuilt.cosine_tfidf_tokens(a.clone(), b.clone()).to_bits(),
+            c.cosine_tfidf_tokens(a, b).to_bits()
         );
     }
 
@@ -194,13 +185,13 @@ mod tests {
     fn tfidf_prefers_distinctive_overlap() {
         let mut c = CorpusStats::new();
         for _ in 0..40 {
-            c.add_document("sony tv common words");
+            c.add_document_tokens(tokens("sony tv common words"));
         }
-        c.add_document("davis50b");
-        c.add_document("im600usb");
+        c.add_document_tokens(tokens("davis50b"));
+        c.add_document_tokens(tokens("im600usb"));
         // Shared rare token beats shared common token.
-        let rare = c.cosine_tfidf("davis50b sony", "davis50b tv");
-        let common = c.cosine_tfidf("sony davis50b", "sony im600usb");
+        let rare = c.cosine_tfidf_tokens(tokens("davis50b sony"), tokens("davis50b tv"));
+        let common = c.cosine_tfidf_tokens(tokens("sony davis50b"), tokens("sony im600usb"));
         assert!(rare > common);
     }
 
@@ -215,8 +206,8 @@ mod tests {
         #[test]
         fn tfidf_identity_is_one(a in "[a-z]{1,8}( [a-z]{1,8}){0,4}") {
             let mut c = CorpusStats::new();
-            c.add_document(&a);
-            prop_assert!((c.cosine_tfidf(&a, &a) - 1.0).abs() < 1e-9);
+            c.add_document_tokens(tokens(&a));
+            prop_assert!((c.cosine_tfidf_tokens(tokens(&a), tokens(&a)) - 1.0).abs() < 1e-9);
         }
     }
 }
