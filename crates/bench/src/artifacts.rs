@@ -3,26 +3,29 @@
 //!
 //! An [`Artifact`] is registered with its title and the datasets it reads.
 //! A [`Run`] prepares datasets once (generation, model zoo, explained
-//! sample) and any number of artifacts render from it. Each artifact binary
+//! sample) and any number of artifacts render from it; it computes the
+//! saliency grid of Tables 2–3 and the counterfactual grid of Tables 4–6
+//! and Figure 10 once each, on first use. Each artifact binary
 //! prepares only its own datasets; `repro_all` prepares all twelve and
 //! renders [`PAPER_ORDER`] from one run. An artifact renders the same bytes
 //! either way, so every `repro_all` section equals its binary's output.
 
 use std::cell::OnceCell;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 
 use certa_baselines::{CfMethod, SaliencyMethod};
-use certa_core::{Dataset, LabeledPair, Matcher, Split};
+use certa_core::{LabeledPair, Matcher, Split};
 use certa_datagen::{table1_rows, DatasetId};
 use certa_eval::augmentation::{augmentation_effect, natural_triangle_supply};
 use certa_eval::casestudy::{case_study, pick_cases};
-use certa_eval::grid::{prepare, run_cf_grid, run_saliency_grid, CfCell, PreparedDataset};
+use certa_eval::grid::{
+    prepare, run_cf_grid, run_saliency_grid, Cell, CfCell, PreparedDataset, SaliencyCell,
+};
 use certa_eval::masking::copy_salient;
 use certa_eval::monotonicity::audit;
-use certa_eval::report::{render_cf_table, render_saliency_table};
+use certa_eval::report::render_grid_table;
 use certa_eval::triangle_sweep::sweep_point;
-use certa_eval::{confidence_indication, faithfulness_auc, CfMetricKind, GridConfig, TableBuilder};
-use certa_explain::SaliencyExplainer;
+use certa_eval::{GridConfig, TableBuilder};
 use certa_models::ModelKind;
 
 use crate::{banner, CliOptions};
@@ -61,6 +64,8 @@ pub struct Run {
     opts: CliOptions,
     cfg: GridConfig,
     prepared: Vec<PreparedDataset>,
+    /// Tables 2–3 read one saliency grid.
+    saliency_cells: OnceCell<Vec<SaliencyCell>>,
     /// Tables 4–6 and Figure 10 read one counterfactual grid.
     cf_cells: OnceCell<Vec<CfCell>>,
 }
@@ -77,6 +82,7 @@ impl Run {
             opts,
             cfg,
             prepared,
+            saliency_cells: OnceCell::new(),
             cf_cells: OnceCell::new(),
         }
     }
@@ -103,9 +109,37 @@ impl Run {
         &self.prepared
     }
 
+    fn saliency_cells(&self) -> &[SaliencyCell] {
+        self.saliency_cells
+            .get_or_init(|| run_saliency_grid(self.grid(), &self.cfg, &SaliencyMethod::all()))
+    }
+
     fn cf_cells(&self) -> &[CfCell] {
         self.cf_cells
             .get_or_init(|| run_cf_grid(self.grid(), &self.cfg, &CfMethod::all()))
+    }
+
+    /// One Tables 2–6 layout of `metric` over `cells`, the grid's models
+    /// and datasets.
+    fn grid_table<M: Copy + PartialEq + Display, V>(
+        &self,
+        title: &str,
+        cells: &[Cell<M, V>],
+        methods: &[M],
+        metric: fn(&V) -> f64,
+        lower_is_better: bool,
+    ) -> String {
+        let cfg = &self.cfg;
+        let table = render_grid_table(
+            title,
+            cells,
+            &cfg.models,
+            methods,
+            &cfg.datasets,
+            metric,
+            lower_is_better,
+        );
+        format!("{table}\n")
     }
 }
 
@@ -294,10 +328,12 @@ pub static TABLE2: Artifact = Artifact {
     title: "Table 2 — Faithfulness evaluation on saliency explanations",
     datasets: ALL,
     render: |run| {
-        saliency_table(
-            run,
+        run.grid_table(
             "Faithfulness AUC (lower = better; * = best per model block)",
-            faithfulness_auc,
+            run.saliency_cells(),
+            &SaliencyMethod::all(),
+            |v| v.faithfulness,
+            true,
         )
     },
 };
@@ -308,33 +344,27 @@ pub static TABLE3: Artifact = Artifact {
     title: "Table 3 — Confidence Indication evaluation on saliency explanations",
     datasets: ALL,
     render: |run| {
-        saliency_table(
-            run,
+        run.grid_table(
             "Confidence indication MAE (lower = better; * = best per model block)",
-            confidence_indication,
+            run.saliency_cells(),
+            &SaliencyMethod::all(),
+            |v| v.confidence,
+            true,
         )
     },
 };
-
-type SaliencyMetric = fn(&dyn Matcher, &Dataset, &dyn SaliencyExplainer, &[LabeledPair]) -> f64;
-
-fn saliency_table(run: &Run, title: &str, metric: SaliencyMetric) -> String {
-    let methods = SaliencyMethod::all();
-    let cells = run_saliency_grid(run.grid(), &run.cfg, &methods, metric);
-    let cfg = &run.cfg;
-    let table = render_saliency_table(title, &cells, &cfg.models, &methods, &cfg.datasets, true);
-    format!("{table}\n")
-}
 
 /// Table 4: proximity (higher = better) of the four counterfactual methods.
 pub static TABLE4: Artifact = Artifact {
     title: "Table 4 — Proximity evaluation on counterfactual explanations",
     datasets: ALL,
     render: |run| {
-        cf_table(
-            run,
+        run.grid_table(
             "Proximity (higher = better; * = best per model block)",
-            CfMetricKind::Proximity,
+            run.cf_cells(),
+            &CfMethod::all(),
+            |v| v.proximity,
+            false,
         )
     },
 };
@@ -344,10 +374,12 @@ pub static TABLE5: Artifact = Artifact {
     title: "Table 5 — Sparsity evaluation on counterfactual explanations",
     datasets: ALL,
     render: |run| {
-        cf_table(
-            run,
+        run.grid_table(
             "Sparsity (higher = better; * = best per model block)",
-            CfMetricKind::Sparsity,
+            run.cf_cells(),
+            &CfMethod::all(),
+            |v| v.sparsity,
+            false,
         )
     },
 };
@@ -357,27 +389,15 @@ pub static TABLE6: Artifact = Artifact {
     title: "Table 6 — Diversity evaluation on counterfactual explanations",
     datasets: ALL,
     render: |run| {
-        cf_table(
-            run,
+        run.grid_table(
             "Diversity (higher = better; * = best per model block)",
-            CfMetricKind::Diversity,
+            run.cf_cells(),
+            &CfMethod::all(),
+            |v| v.diversity,
+            false,
         )
     },
 };
-
-fn cf_table(run: &Run, title: &str, metric: CfMetricKind) -> String {
-    let cfg = &run.cfg;
-    let methods = CfMethod::all();
-    let table = render_cf_table(
-        title,
-        run.cf_cells(),
-        &cfg.models,
-        &methods,
-        &cfg.datasets,
-        metric,
-    );
-    format!("{table}\n")
-}
 
 /// Figure 10: average number of counterfactual examples generated per
 /// method, aggregated per classifier across all datasets.

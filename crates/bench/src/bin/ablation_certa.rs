@@ -114,12 +114,17 @@ fn main() {
     for v in variants(grid.certa_config().with_triangles(grid.tau)) {
         let counting = CountingMatcher::new(raw.clone());
         let matcher: BoxedMatcher = counting.clone();
-        let certa = Certa::new(v.cfg);
-        // Run CF + saliency over the explained pairs, measuring calls.
+        // Explain the pairs once and count the calls before the metrics
+        // re-score anything.
         counting.reset();
-        let cf = cf_metrics_for(&matcher, &p.dataset, &certa, &p.explained);
-        let faith = faithfulness_auc(&matcher, &p.dataset, &certa, &p.explained);
-        let calls = counting.count() as f64 / (2 * p.explained.len()) as f64;
+        let explanations = Certa::new(v.cfg).explain_labeled(&matcher, &p.dataset, &p.explained);
+        let calls = counting.count() as f64 / p.explained.len() as f64;
+        let (saliencies, counterfactuals): (Vec<_>, Vec<_>) = explanations
+            .into_iter()
+            .map(|e| (e.saliency, e.counterfactual))
+            .unzip();
+        let faith = faithfulness_auc(&matcher, &p.dataset, &saliencies, &p.explained);
+        let cf = cf_metrics_for(&p.dataset, &counterfactuals, &p.explained);
         table.row([
             v.name.to_string(),
             format!("{calls:.0}"),

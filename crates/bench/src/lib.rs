@@ -11,12 +11,15 @@
 //! --seed N                        master RNG seed
 //! --tau N                         CERTA triangle budget (default 100)
 //! --pairs N                       explained test pairs per (dataset, model)
-//! --workers N                     batch-engine worker threads (0 = auto)
+//! --workers N                     threads for the grid's cell pool and
+//!                                 CERTA's pair pool (0 = one per core)
 //! ```
 //!
 //! `cargo run --release -p certa-bench --bin repro_all` renders every
-//! artifact in one process, sharing generated datasets and trained models
-//! across them. The `bench_*` binaries are the performance and
+//! artifact in one process, sharing generated datasets, trained models and
+//! the two method grids across them: Tables 2–3 read one saliency grid and
+//! Tables 4–6 and Figure 10 one counterfactual grid, each cell of which
+//! explains its pairs once. The `bench_*` binaries are the performance and
 //! correctness gates.
 
 pub mod artifacts;
@@ -35,7 +38,8 @@ pub struct CliOptions {
     pub tau: Option<usize>,
     /// Explained-pairs override.
     pub pairs: Option<usize>,
-    /// Batch-engine worker threads (`None` = grid default of one per core).
+    /// Threads for the grid's cell pool and CERTA's pair pool (`None` =
+    /// the grid default of one per core).
     pub workers: Option<usize>,
 }
 

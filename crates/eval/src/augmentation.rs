@@ -54,14 +54,15 @@ pub struct AugmentationEffect {
     pub confidence: f64,
 }
 
-/// Run CERTA twice (default vs augmentation-only) and report metric deltas.
+/// Explain `pairs` once under each of the two configurations (default vs
+/// augmentation-only) and report the metric deltas; every metric of one
+/// configuration reads the same explanations.
 pub fn augmentation_effect(
     matcher: &dyn Matcher,
     dataset: &Dataset,
     pairs: &[LabeledPair],
     cfg: &CertaConfig,
 ) -> AugmentationEffect {
-    let default_cfg = *cfg;
     let forced_cfg = CertaConfig {
         augmentation_only: true,
         use_augmentation: true,
@@ -69,13 +70,18 @@ pub fn augmentation_effect(
     };
 
     let run = |c: CertaConfig| {
-        let certa = Certa::new(c);
-        let prox = cf_metrics_for(matcher, dataset, &certa, pairs);
-        let faith = faithfulness_auc(matcher, dataset, &certa, pairs);
-        let ci = confidence_indication(matcher, dataset, &certa, pairs);
-        (prox, faith, ci)
+        let (saliencies, counterfactuals): (Vec<_>, Vec<_>) = Certa::new(c)
+            .explain_labeled(matcher, dataset, pairs)
+            .into_iter()
+            .map(|e| (e.saliency, e.counterfactual))
+            .unzip();
+        (
+            cf_metrics_for(dataset, &counterfactuals, pairs),
+            faithfulness_auc(matcher, dataset, &saliencies, pairs),
+            confidence_indication(matcher, dataset, &saliencies, pairs),
+        )
     };
-    let (cf_d, faith_d, ci_d) = run(default_cfg);
+    let (cf_d, faith_d, ci_d) = run(*cfg);
     let (cf_f, faith_f, ci_f) = run(forced_cfg);
 
     AugmentationEffect {

@@ -2,22 +2,9 @@
 //! sparsity, diversity, and average example counts. Higher is better for
 //! all three metrics (§5.3).
 
-use certa_core::{Dataset, LabeledPair, Matcher, Record};
-use certa_explain::{CounterfactualExample, CounterfactualExplainer, CounterfactualExplanation};
+use certa_core::{Dataset, LabeledPair, Record};
+use certa_explain::{CounterfactualExample, CounterfactualExplanation};
 use certa_text::{attribute_dist, attribute_sim};
-
-/// Which Table 4–6 / Figure 10 quantity to read from a [`CfAggregate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CfMetricKind {
-    /// Table 4: attribute-wise similarity of counterfactuals to the input.
-    Proximity,
-    /// Table 5: fraction of attributes left unchanged.
-    Sparsity,
-    /// Table 6: mean pairwise distance within the counterfactual set.
-    Diversity,
-    /// Figure 10: average number of examples generated.
-    Count,
-}
 
 /// Aggregated counterfactual metrics over a set of explained pairs.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -33,18 +20,6 @@ pub struct CfAggregate {
     pub count: f64,
     /// Number of explained pairs.
     pub pairs: usize,
-}
-
-impl CfAggregate {
-    /// Read one metric by kind.
-    pub fn get(&self, kind: CfMetricKind) -> f64 {
-        match kind {
-            CfMetricKind::Proximity => self.proximity,
-            CfMetricKind::Sparsity => self.sparsity,
-            CfMetricKind::Diversity => self.diversity,
-            CfMetricKind::Count => self.count,
-        }
-    }
 }
 
 /// Proximity of one example: mean attribute-wise similarity between the
@@ -119,27 +94,22 @@ fn example_pair_distance(a: &CounterfactualExample, b: &CounterfactualExample) -
     acc / total as f64
 }
 
-/// Run a counterfactual explainer over `pairs` and aggregate all metrics.
-/// Explanations are produced through the explainer's batch entry point
-/// (parallel for CERTA) and aggregated in input order.
+/// Aggregate every counterfactual metric over `explanations`, one
+/// counterfactual explanation per pair of `pairs` in the same order.
 pub fn cf_metrics_for(
-    matcher: &dyn Matcher,
     dataset: &Dataset,
-    explainer: &dyn CounterfactualExplainer,
+    explanations: &[CounterfactualExplanation],
     pairs: &[LabeledPair],
 ) -> CfAggregate {
     assert!(!pairs.is_empty(), "need at least one pair");
-    let refs: Vec<_> = pairs
-        .iter()
-        .map(|lp| dataset.expect_pair(lp.pair))
-        .collect();
-    let explanations = explainer.explain_counterfactual_batch(matcher, dataset, &refs);
+    assert_eq!(explanations.len(), pairs.len());
     let mut prox_sum = 0.0;
     let mut spars_sum = 0.0;
     let mut with_examples = 0usize;
     let mut div_sum = 0.0;
     let mut count_sum = 0.0;
-    for (&(u, v), cf) in refs.iter().zip(&explanations) {
+    for (lp, cf) in pairs.iter().zip(explanations) {
+        let (u, v) = dataset.expect_pair(lp.pair);
         count_sum += cf.examples.len() as f64;
         div_sum += set_diversity(cf);
         if !cf.examples.is_empty() {
@@ -181,7 +151,7 @@ pub fn cf_metrics_for(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use certa_core::{RecordId, Side};
+    use certa_core::{RecordId, Schema, Side, Table};
     use certa_explain::AttrRef;
 
     fn orig() -> (Record, Record) {
@@ -271,17 +241,32 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_get_matches_fields() {
-        let agg = CfAggregate {
-            proximity: 0.7,
-            sparsity: 0.9,
-            diversity: 0.4,
-            count: 3.0,
-            pairs: 5,
+    fn aggregate_follows_the_definitions() {
+        let (u, v) = orig();
+        let mk = |r: &Record, name: &str| {
+            Table::from_records(Schema::shared(name, ["name", "price"]), vec![r.clone()]).unwrap()
         };
-        assert_eq!(agg.get(CfMetricKind::Proximity), 0.7);
-        assert_eq!(agg.get(CfMetricKind::Sparsity), 0.9);
-        assert_eq!(agg.get(CfMetricKind::Diversity), 0.4);
-        assert_eq!(agg.get(CfMetricKind::Count), 3.0);
+        let pair = LabeledPair::new(RecordId(0), RecordId(1), true);
+        let d = Dataset::new("toy", mk(&u, "U"), mk(&v, "V"), vec![pair], vec![pair]).unwrap();
+        let near = example(&["sony bravia", "100"], &["sony bravia tv", "110"], vec![]);
+        let far = example(
+            &["canon pixma", "100"],
+            &["sony bravia tv", "110"],
+            vec![AttrRef::new(Side::Left, 0)],
+        );
+        let found = CounterfactualExplanation {
+            examples: vec![near.clone(), far.clone()],
+            ..Default::default()
+        };
+        let none = CounterfactualExplanation::default();
+        let agg = cf_metrics_for(&d, &[found.clone(), none], &[pair, pair]);
+        // Proximity and sparsity average over the pairs with examples only;
+        // diversity and count average over every pair.
+        let prox = (example_proximity(&u, &v, &near) + example_proximity(&u, &v, &far)) / 2.0;
+        assert_eq!(agg.proximity, prox);
+        assert_eq!(agg.sparsity, (1.0 + 0.75) / 2.0);
+        assert_eq!(agg.diversity, set_diversity(&found) / 2.0);
+        assert_eq!(agg.count, 1.0);
+        assert_eq!(agg.pairs, 2);
     }
 }

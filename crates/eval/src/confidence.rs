@@ -7,7 +7,7 @@
 //! is a good proxy of the model's confidence (§5.3).
 
 use certa_core::{Dataset, LabeledPair, Matcher};
-use certa_explain::{SaliencyExplainer, SaliencyExplanation};
+use certa_explain::SaliencyExplanation;
 use certa_ml::logistic::{LogisticConfig, LogisticRegression};
 use certa_ml::metrics::mae;
 
@@ -35,25 +35,9 @@ fn saliency_features(expl: &SaliencyExplanation, predicted_match: bool) -> Vec<f
     ]
 }
 
-/// Compute the confidence-indication MAE of `explainer` on `pairs`.
-/// Explanations go through the explainer's batch entry point (parallel for
-/// CERTA, a plain loop for the baselines).
+/// The confidence-indication MAE of `explanations`, one saliency
+/// explanation per pair of `pairs` in the same order.
 pub fn confidence_indication(
-    matcher: &dyn Matcher,
-    dataset: &Dataset,
-    explainer: &dyn SaliencyExplainer,
-    pairs: &[LabeledPair],
-) -> f64 {
-    let refs: Vec<_> = pairs
-        .iter()
-        .map(|lp| dataset.expect_pair(lp.pair))
-        .collect();
-    let explanations = explainer.explain_saliency_batch(matcher, dataset, &refs);
-    confidence_indication_with(matcher, dataset, &explanations, pairs)
-}
-
-/// [`confidence_indication`] with precomputed explanations.
-pub fn confidence_indication_with(
     matcher: &dyn Matcher,
     dataset: &Dataset,
     explanations: &[SaliencyExplanation],
@@ -116,38 +100,24 @@ mod tests {
     }
 
     /// Saliency that perfectly reflects confidence: max score = model score.
-    struct ConfidenceOracle;
-    impl SaliencyExplainer for ConfidenceOracle {
-        fn name(&self) -> &str {
-            "oracle"
-        }
-        fn explain_saliency(
-            &self,
-            m: &dyn Matcher,
-            _d: &Dataset,
-            u: &Record,
-            v: &Record,
-        ) -> SaliencyExplanation {
-            let s = m.score(u, v);
-            SaliencyExplanation::new(vec![s, 0.0], vec![s, 0.0])
-        }
+    fn confidence_oracle(
+        m: &dyn Matcher,
+        d: &Dataset,
+        pairs: &[LabeledPair],
+    ) -> Vec<SaliencyExplanation> {
+        pairs
+            .iter()
+            .map(|lp| {
+                let (u, v) = d.expect_pair(lp.pair);
+                let s = m.score(u, v);
+                SaliencyExplanation::new(vec![s, 0.0], vec![s, 0.0])
+            })
+            .collect()
     }
 
     /// Saliency that carries no information at all.
-    struct UninformativeExplainer;
-    impl SaliencyExplainer for UninformativeExplainer {
-        fn name(&self) -> &str {
-            "flat"
-        }
-        fn explain_saliency(
-            &self,
-            _m: &dyn Matcher,
-            _d: &Dataset,
-            _u: &Record,
-            _v: &Record,
-        ) -> SaliencyExplanation {
-            SaliencyExplanation::new(vec![0.5, 0.5], vec![0.5, 0.5])
-        }
+    fn uninformative(pairs: &[LabeledPair]) -> Vec<SaliencyExplanation> {
+        vec![SaliencyExplanation::new(vec![0.5, 0.5], vec![0.5, 0.5]); pairs.len()]
     }
 
     #[test]
@@ -155,8 +125,8 @@ mod tests {
         let d = dataset();
         let m = key_matcher();
         let pairs = d.split(certa_core::Split::Test).to_vec();
-        let good = confidence_indication(&m, &d, &ConfidenceOracle, &pairs);
-        let flat = confidence_indication(&m, &d, &UninformativeExplainer, &pairs);
+        let good = confidence_indication(&m, &d, &confidence_oracle(&m, &d, &pairs), &pairs);
+        let flat = confidence_indication(&m, &d, &uninformative(&pairs), &pairs);
         assert!(
             good < flat,
             "oracle MAE {good:.4} must beat flat MAE {flat:.4}"
@@ -169,7 +139,7 @@ mod tests {
         let d = dataset();
         let m = key_matcher();
         let pairs = d.split(certa_core::Split::Test).to_vec();
-        let v = confidence_indication(&m, &d, &UninformativeExplainer, &pairs);
+        let v = confidence_indication(&m, &d, &uninformative(&pairs), &pairs);
         assert!((0.0..=1.0).contains(&v));
     }
 

@@ -8,41 +8,22 @@
 
 use crate::masking::mask_pair;
 use certa_core::{Dataset, LabeledPair, Matcher};
-use certa_explain::{SaliencyExplainer, SaliencyExplanation};
+use certa_explain::SaliencyExplanation;
 use certa_ml::metrics::{auc_trapezoid, confusion};
 
 /// The paper's masking thresholds.
 pub const FAITHFULNESS_THRESHOLDS: [f64; 6] = [0.1, 0.2, 0.33, 0.5, 0.7, 0.9];
 
-/// Compute the faithfulness AUC of `explainer` on `pairs`.
-///
-/// Explanations are computed once per pair — through the explainer's batch
-/// entry point, so parallel engines (CERTA) fan the pairs out across cores —
-/// and reused across thresholds.
+/// The faithfulness AUC of `explanations`, one saliency explanation per
+/// pair of `pairs` in the same order. Each explanation is reused across
+/// every threshold, and only the masked pairs are re-scored.
 pub fn faithfulness_auc(
-    matcher: &dyn Matcher,
-    dataset: &Dataset,
-    explainer: &dyn SaliencyExplainer,
-    pairs: &[LabeledPair],
-) -> f64 {
-    assert!(!pairs.is_empty(), "need at least one pair to evaluate");
-    let refs: Vec<_> = pairs
-        .iter()
-        .map(|lp| dataset.expect_pair(lp.pair))
-        .collect();
-    let explanations = explainer.explain_saliency_batch(matcher, dataset, &refs);
-    faithfulness_auc_with(matcher, dataset, &explanations, pairs)
-}
-
-/// Same as [`faithfulness_auc`], with explanations precomputed by the
-/// caller (the grid runner shares one explanation per pair across several
-/// metrics).
-pub fn faithfulness_auc_with(
     matcher: &dyn Matcher,
     dataset: &Dataset,
     explanations: &[SaliencyExplanation],
     pairs: &[LabeledPair],
 ) -> f64 {
+    assert!(!pairs.is_empty(), "need at least one pair to evaluate");
     assert_eq!(explanations.len(), pairs.len());
     let total_attrs = dataset.left().schema().arity() + dataset.right().schema().arity();
     let actual: Vec<bool> = pairs.iter().map(|lp| lp.label.is_match()).collect();
@@ -75,7 +56,7 @@ pub fn faithfulness_auc_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use certa_core::{FnMatcher, Record, RecordId, Schema, Side, Table};
+    use certa_core::{FnMatcher, Record, RecordId, Schema, Table};
     use certa_explain::AttrRef;
 
     /// World: match iff key attribute (index 0) equal and present.
@@ -109,21 +90,9 @@ mod tests {
         })
     }
 
-    /// An explainer with fixed saliency, for protocol testing.
-    struct FixedExplainer(SaliencyExplanation);
-    impl SaliencyExplainer for FixedExplainer {
-        fn name(&self) -> &str {
-            "fixed"
-        }
-        fn explain_saliency(
-            &self,
-            _m: &dyn Matcher,
-            _d: &Dataset,
-            _u: &Record,
-            _v: &Record,
-        ) -> SaliencyExplanation {
-            self.0.clone()
-        }
+    /// The same fixed saliency for every test pair.
+    fn fixed(pairs: &[LabeledPair], left: [f64; 2], right: [f64; 2]) -> Vec<SaliencyExplanation> {
+        vec![SaliencyExplanation::new(left.to_vec(), right.to_vec()); pairs.len()]
     }
 
     #[test]
@@ -132,8 +101,8 @@ mod tests {
         let m = key_matcher();
         let pairs = d.split(certa_core::Split::Test).to_vec();
         // Oracle: keys most salient. Inverted: noise most salient.
-        let oracle = FixedExplainer(SaliencyExplanation::new(vec![1.0, 0.0], vec![1.0, 0.0]));
-        let inverted = FixedExplainer(SaliencyExplanation::new(vec![0.0, 1.0], vec![0.0, 1.0]));
+        let oracle = fixed(&pairs, [1.0, 0.0], [1.0, 0.0]);
+        let inverted = fixed(&pairs, [0.0, 1.0], [0.0, 1.0]);
         let auc_oracle = faithfulness_auc(&m, &d, &oracle, &pairs);
         let auc_inverted = faithfulness_auc(&m, &d, &inverted, &pairs);
         assert!(
@@ -147,8 +116,7 @@ mod tests {
         let d = dataset();
         let m = key_matcher();
         let pairs = d.split(certa_core::Split::Test).to_vec();
-        let expl = FixedExplainer(SaliencyExplanation::new(vec![0.5, 0.5], vec![0.5, 0.5]));
-        let auc = faithfulness_auc(&m, &d, &expl, &pairs);
+        let auc = faithfulness_auc(&m, &d, &fixed(&pairs, [0.5, 0.5], [0.5, 0.5]), &pairs);
         assert!((0.0..=1.0).contains(&auc));
     }
 
@@ -159,8 +127,7 @@ mod tests {
         let d = dataset();
         let m = key_matcher();
         let pairs = d.split(certa_core::Split::Test).to_vec();
-        let expl = FixedExplainer(SaliencyExplanation::new(vec![0.9, 0.1], vec![0.8, 0.2]));
-        let explanations = vec![expl.0.clone(); pairs.len()];
+        let explanations = fixed(&pairs, [0.9, 0.1], [0.8, 0.2]);
         // Direct check of the protocol's masking at k = 4.
         let (u, v) = d.expect_pair(pairs[0].pair);
         let all: Vec<AttrRef> = explanations[0]
@@ -172,6 +139,5 @@ mod tests {
         assert!(!m.prediction(&mu, &mv).is_match());
         assert_eq!(mu.values()[0], "");
         assert_eq!(mv.values()[0], "");
-        let _ = Side::Left; // silence unused import in cfg(test)
     }
 }

@@ -1,13 +1,24 @@
 //! The (dataset × model × method) experiment driver shared by all table
 //! binaries.
+//!
+//! [`prepare`] builds each dataset once: generation, the model zoo and the
+//! sampled test pairs. [`run_saliency_grid`] and [`run_cf_grid`] then run
+//! one [`run_indexed`] pool of [`GridConfig::workers`] threads over every
+//! (dataset, model, method) cell. A cell builds its method, explains each
+//! sampled pair once with the per-pair method, and hands those
+//! explanations to every metric of its tables; no metric explains
+//! anything itself. Cells come back in (dataset, model, method) order, so
+//! no table depends on the worker count.
 
 use certa_baselines::{CfMethod, SaliencyMethod};
-use certa_core::{run_indexed, worker_count, BoxedMatcher, Dataset, LabeledPair, Split};
+use certa_core::{run_indexed, BoxedMatcher, Dataset, LabeledPair, Matcher, Record, Split};
 use certa_datagen::{generate, DatasetId, Scale};
 use certa_explain::CertaConfig;
 use certa_models::{train_zoo, trainer::sample_pairs, CachingMatcher, ModelKind, TrainedZoo};
 
 use crate::cf_metrics::{cf_metrics_for, CfAggregate};
+use crate::confidence::confidence_indication;
+use crate::faithfulness::faithfulness_auc;
 
 /// Global experiment parameters.
 #[derive(Debug, Clone)]
@@ -24,8 +35,11 @@ pub struct GridConfig {
     pub datasets: Vec<DatasetId>,
     /// Models included (defaults to all three).
     pub models: Vec<ModelKind>,
-    /// Worker threads for the batch explanation engine (`0` = one per
-    /// core). Never changes results — only wall-clock time.
+    /// Worker threads (`0` = one per core) for the grid's pool over
+    /// (dataset, model, method) cells and for CERTA's pair pool
+    /// ([`CertaConfig::workers`]) where a runner explains a whole sample
+    /// with one configuration. Never changes results — only wall-clock
+    /// time.
     pub workers: usize,
 }
 
@@ -119,151 +133,111 @@ pub fn prepare(cfg: &GridConfig) -> Vec<PreparedDataset> {
     })
 }
 
-/// One cell of a saliency table (Tables 2–3).
+/// One cell of the method grid: a (dataset, model, method) triple and
+/// the metrics of the method's explanations of that dataset's sample.
 #[derive(Debug, Clone, Copy)]
-pub struct SaliencyCell {
+pub struct Cell<M, V> {
     /// Row dataset.
     pub dataset: DatasetId,
     /// Model block.
     pub model: ModelKind,
     /// Method column.
-    pub method: SaliencyMethod,
-    /// Metric value.
-    pub value: f64,
+    pub method: M,
+    /// Every metric of the cell at once.
+    pub value: V,
 }
+
+/// The saliency metrics of one grid cell (Tables 2–3).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SaliencyAggregate {
+    /// Table 2: faithfulness AUC (lower = better).
+    pub faithfulness: f64,
+    /// Table 3: confidence-indication MAE (lower = better).
+    pub confidence: f64,
+}
+
+/// One cell of a saliency table (Tables 2–3).
+pub type SaliencyCell = Cell<SaliencyMethod, SaliencyAggregate>;
 
 /// One cell of a counterfactual table (Tables 4–6, Figure 10).
-#[derive(Debug, Clone, Copy)]
-pub struct CfCell {
-    /// Row dataset.
-    pub dataset: DatasetId,
-    /// Model block.
-    pub model: ModelKind,
-    /// Method column.
-    pub method: CfMethod,
-    /// All counterfactual metrics at once.
-    pub value: CfAggregate,
-}
+pub type CfCell = Cell<CfMethod, CfAggregate>;
 
-/// Per-cell explainer worker budget. An explicit `GridConfig::workers`
-/// (the `--workers` flag) wins; otherwise the cores are divided across the
-/// datasets running in parallel — the grid already runs one worker per
-/// dataset, so nesting one explain worker per core under that fan-out
-/// would oversubscribe the CPU with no extra throughput.
-fn cell_workers(cfg: &GridConfig, datasets: usize) -> usize {
-    if cfg.workers > 0 {
-        return cfg.workers;
-    }
-    (worker_count(0) / datasets.max(1)).max(1)
-}
-
-/// The grid loop shared by [`run_saliency_grid`] and [`run_cf_grid`]:
-/// one [`run_indexed`] worker per dataset, and within a dataset every
-/// (model, method) cell in order. `cell` receives the dataset, the model,
-/// its cached matcher, the method and the CERTA configuration with the
-/// per-cell worker budget; cells come back in (dataset, model, method)
-/// order.
-fn run_grid<M: Copy + Sync, C: Send + Sync>(
+/// The grid loop shared by [`run_saliency_grid`] and [`run_cf_grid`]: one
+/// [`run_indexed`] pool of `cfg.workers` threads over every (dataset,
+/// model, method) cell. `value` receives the dataset, its cached matcher
+/// for the model and the method; cells come back in (dataset, model,
+/// method) order whatever the worker count.
+fn run_grid<M: Copy + Send + Sync, V: Send + Sync>(
     prepared: &[PreparedDataset],
     cfg: &GridConfig,
     methods: &[M],
-    cell: impl Fn(&PreparedDataset, ModelKind, &BoxedMatcher, M, CertaConfig) -> C + Sync,
-) -> Vec<C> {
-    let certa = cfg
-        .certa_config()
-        .with_workers(cell_workers(cfg, prepared.len()));
-    run_indexed(prepared.len(), prepared.len(), |i| {
-        let p = &prepared[i];
-        let mut cells = Vec::new();
-        for &model in &cfg.models {
-            let matcher = p.cached_matcher(model);
-            for &method in methods {
-                cells.push(cell(p, model, &matcher, method, certa));
-            }
+    value: impl Fn(&PreparedDataset, &dyn Matcher, M) -> V + Sync,
+) -> Vec<Cell<M, V>> {
+    let per_model = methods.len();
+    let per_dataset = cfg.models.len() * per_model;
+    run_indexed(prepared.len() * per_dataset, cfg.workers, |i| {
+        let p = &prepared[i / per_dataset];
+        let model = cfg.models[i % per_dataset / per_model];
+        let method = methods[i % per_model];
+        Cell {
+            dataset: p.id,
+            model,
+            method,
+            value: value(p, p.cached_matcher(model).as_ref(), method),
         }
-        cells
     })
-    .into_iter()
-    .flatten()
-    .collect()
 }
 
-/// Evaluate a saliency metric over the full grid.
-///
-/// `metric` receives `(matcher, dataset, explainer, pairs)` and returns the
-/// scalar for one cell. Runs datasets in parallel; within a cell, the
-/// metrics route explanations through the explainer's *batch* entry point
-/// (`explain_saliency_batch`), so CERTA's work-stealing engine and the
-/// sharded score cache are exercised by every table binary. The batch
-/// engine's worker count is divided by the dataset fan-out (`cell_workers`)
-/// so the two parallelism levels share the machine instead of multiplying.
-pub fn run_saliency_grid<F>(
+/// Explain every sampled pair of `p` with the per-pair method `explain`.
+fn explain_sample<E>(p: &PreparedDataset, explain: impl Fn(&Record, &Record) -> E) -> Vec<E> {
+    p.explained
+        .iter()
+        .map(|lp| {
+            let (u, v) = p.dataset.expect_pair(lp.pair);
+            explain(u, v)
+        })
+        .collect()
+}
+
+/// Both saliency metrics over the full grid: each cell explains its
+/// sample once, and faithfulness and confidence indication read the same
+/// explanations.
+pub fn run_saliency_grid(
     prepared: &[PreparedDataset],
     cfg: &GridConfig,
     methods: &[SaliencyMethod],
-    metric: F,
-) -> Vec<SaliencyCell>
-where
-    F: Fn(
-            &dyn certa_core::Matcher,
-            &Dataset,
-            &dyn certa_explain::SaliencyExplainer,
-            &[LabeledPair],
-        ) -> f64
-        + Sync,
-{
-    run_grid(
-        prepared,
-        cfg,
-        methods,
-        |p, model, matcher, method, certa| {
-            let explainer = method.build(certa, cfg.seed);
-            SaliencyCell {
-                dataset: p.id,
-                model,
-                method,
-                value: metric(matcher, &p.dataset, explainer.as_ref(), &p.explained),
-            }
-        },
-    )
+) -> Vec<SaliencyCell> {
+    run_grid(prepared, cfg, methods, |p, matcher, method| {
+        let explainer = method.build(cfg.certa_config(), cfg.seed);
+        let explanations = explain_sample(p, |u, v| {
+            explainer.explain_saliency(matcher, &p.dataset, u, v)
+        });
+        SaliencyAggregate {
+            faithfulness: faithfulness_auc(matcher, &p.dataset, &explanations, &p.explained),
+            confidence: confidence_indication(matcher, &p.dataset, &explanations, &p.explained),
+        }
+    })
 }
 
-/// Evaluate all counterfactual metrics over the full grid (same
-/// parallelism-sharing scheme as [`run_saliency_grid`]).
+/// Every counterfactual metric over the full grid: each cell explains its
+/// sample once.
 pub fn run_cf_grid(
     prepared: &[PreparedDataset],
     cfg: &GridConfig,
     methods: &[CfMethod],
 ) -> Vec<CfCell> {
-    run_grid(
-        prepared,
-        cfg,
-        methods,
-        |p, model, matcher, method, certa| {
-            let explainer = method.build(certa, cfg.seed);
-            CfCell {
-                dataset: p.id,
-                model,
-                method,
-                value: cf_metrics_for(matcher, &p.dataset, explainer.as_ref(), &p.explained),
-            }
-        },
-    )
+    run_grid(prepared, cfg, methods, |p, matcher, method| {
+        let explainer = method.build(cfg.certa_config(), cfg.seed);
+        let explanations = explain_sample(p, |u, v| {
+            explainer.explain_counterfactual(matcher, &p.dataset, u, v)
+        });
+        cf_metrics_for(&p.dataset, &explanations, &p.explained)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faithfulness::faithfulness_auc;
-
-    #[test]
-    fn explicit_workers_override_the_core_split() {
-        let mut cfg = GridConfig::for_scale(Scale::Smoke);
-        assert!(cell_workers(&cfg, 4) >= 1);
-        cfg.workers = 3;
-        assert_eq!(cell_workers(&cfg, 4), 3);
-        assert_eq!(cfg.certa_config().workers, 3);
-    }
 
     #[test]
     fn prepare_with_no_datasets_is_empty_not_a_panic() {
@@ -299,13 +273,11 @@ mod tests {
         let cfg = tiny_cfg();
         let prepared = prepare(&cfg);
         let methods = [SaliencyMethod::Certa, SaliencyMethod::Shap];
-        let cells = run_saliency_grid(&prepared, &cfg, &methods, |m, d, e, p| {
-            faithfulness_auc(m, d, e, p)
-        });
+        let cells = run_saliency_grid(&prepared, &cfg, &methods);
         assert_eq!(cells.len(), 2);
         for c in &cells {
-            assert!(c.value.is_finite());
-            assert!((0.0..=1.0).contains(&c.value), "{c:?}");
+            assert!((0.0..=1.0).contains(&c.value.faithfulness), "{c:?}");
+            assert!((0.0..=1.0).contains(&c.value.confidence), "{c:?}");
         }
         let methods_seen: Vec<SaliencyMethod> = cells.iter().map(|c| c.method).collect();
         assert!(methods_seen.contains(&SaliencyMethod::Certa));
@@ -342,7 +314,6 @@ mod tests {
                 &prepared,
                 &at(workers),
                 &[SaliencyMethod::Certa, SaliencyMethod::Shap],
-                |m, d, e, p| faithfulness_auc(m, d, e, p),
             );
             format!("{cells:?}")
         };
@@ -352,18 +323,31 @@ mod tests {
             format!("{cells:?}")
         };
         assert_eq!(cf(1), cf(3));
-    }
-
-    #[test]
-    fn cell_worker_budget_is_positive_and_bounded() {
-        let auto = GridConfig::for_scale(Scale::Smoke);
-        assert!(cell_workers(&auto, 1) >= 1);
-        assert_eq!(
-            cell_workers(&auto, usize::MAX),
-            1,
-            "huge fan-out degrades to 1"
-        );
-        assert!(cell_workers(&auto, 1) <= worker_count(0));
+        // One flat index covers every (dataset, model, method) cell once,
+        // in that order, whatever the worker count.
+        let mut want = Vec::new();
+        for dataset in [DatasetId::FZ, DatasetId::IA] {
+            for model in ModelKind::all() {
+                for method in [0u8, 1, 2] {
+                    want.push((dataset, model, method));
+                }
+            }
+        }
+        for workers in [1, 3] {
+            let cfg = GridConfig {
+                models: ModelKind::all().to_vec(),
+                ..at(workers)
+            };
+            let cells = run_grid(&prepared, &cfg, &[0u8, 1, 2], |p, _, method| (p.id, method));
+            let got: Vec<_> = cells
+                .iter()
+                .map(|c| {
+                    assert_eq!(c.value, (c.dataset, c.method), "{workers} workers");
+                    (c.dataset, c.model, c.method)
+                })
+                .collect();
+            assert_eq!(got, want, "{workers} workers");
+        }
     }
 
     #[test]

@@ -15,9 +15,15 @@
 //! | [`grid`] | the (dataset × model × method) experiment driver |
 //! | [`report`] | plain-text table rendering |
 //!
-//! The grid parallelizes across datasets on [`certa_core::run_indexed`];
-//! every matcher is wrapped in a content-addressed score cache, so repeated
-//! perturbations (which dominate explainer workloads) hit the model once.
+//! Every metric takes explanations computed beforehand, one per explained
+//! pair, and never explains anything itself: [`faithfulness_auc`] and
+//! [`confidence_indication`] re-score pairs through the matcher, and
+//! [`cf_metrics_for`] reads the examples alone. So a runner explains its
+//! pairs once and every metric reads the same explanations. The grid runs
+//! one [`certa_core::run_indexed`] pool over its (dataset, model, method)
+//! cells; every matcher is wrapped in a content-addressed score cache, so
+//! repeated perturbations (which dominate explainer workloads) hit the
+//! model once.
 
 pub mod augmentation;
 pub mod casestudy;
@@ -30,7 +36,7 @@ pub mod monotonicity;
 pub mod report;
 pub mod triangle_sweep;
 
-pub use cf_metrics::{cf_metrics_for, CfAggregate, CfMetricKind};
+pub use cf_metrics::{cf_metrics_for, CfAggregate};
 pub use confidence::confidence_indication;
 pub use faithfulness::{faithfulness_auc, FAITHFULNESS_THRESHOLDS};
 pub use grid::{prepare, GridConfig, PreparedDataset};

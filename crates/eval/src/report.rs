@@ -1,11 +1,9 @@
 //! Column-aligned plain-text table rendering for experiment outputs.
 
-use crate::grid::{CfCell, SaliencyCell};
-use certa_baselines::{CfMethod, SaliencyMethod};
+use crate::grid::Cell;
 use certa_datagen::DatasetId;
 use certa_models::ModelKind;
-
-use crate::cf_metrics::CfMetricKind;
+use std::fmt::Display;
 
 /// A simple column-aligned table builder.
 #[derive(Debug, Clone, Default)]
@@ -86,83 +84,23 @@ impl TableBuilder {
     }
 }
 
-/// Assemble a Tables 2–3 style layout: rows = datasets, one column per
-/// (model, method); the best (lowest or highest) value per model block is
-/// starred.
-pub fn render_saliency_table(
+/// Assemble a Tables 2–6 style layout: rows = datasets, one column per
+/// (model, method) holding `metric` of that cell's value; the best value
+/// per model block (the lowest when `lower_is_better`, else the highest)
+/// is starred, and a missing cell reads `NaN`.
+pub fn render_grid_table<M: Copy + PartialEq + Display, V>(
     title: &str,
-    cells: &[SaliencyCell],
+    cells: &[Cell<M, V>],
     models: &[ModelKind],
-    methods: &[SaliencyMethod],
+    methods: &[M],
     datasets: &[DatasetId],
+    metric: impl Fn(&V) -> f64,
     lower_is_better: bool,
 ) -> String {
     let mut header: Vec<String> = vec!["Dataset".into()];
     for m in models {
         for meth in methods {
-            header.push(format!("{}:{}", m.paper_name(), meth.paper_name()));
-        }
-    }
-    let mut table = TableBuilder::new(title).header(header);
-    for &d in datasets {
-        let mut row: Vec<String> = vec![d.code().to_string()];
-        for &m in models {
-            let block: Vec<(SaliencyMethod, f64)> = methods
-                .iter()
-                .map(|&meth| {
-                    let v = cells
-                        .iter()
-                        .find(|c| c.dataset == d && c.model == m && c.method == meth)
-                        .map_or(f64::NAN, |c| c.value);
-                    (meth, v)
-                })
-                .collect();
-            let best = block
-                .iter()
-                .map(|&(_, v)| v)
-                .filter(|v| v.is_finite())
-                .fold(
-                    if lower_is_better {
-                        f64::INFINITY
-                    } else {
-                        f64::NEG_INFINITY
-                    },
-                    |a, b| {
-                        if lower_is_better {
-                            a.min(b)
-                        } else {
-                            a.max(b)
-                        }
-                    },
-                );
-            for (_, v) in block {
-                let star = if v.is_finite() && (v - best).abs() < 1e-9 {
-                    "*"
-                } else {
-                    ""
-                };
-                row.push(format!("{v:.3}{star}"));
-            }
-        }
-        table.row(row);
-    }
-    table.render()
-}
-
-/// Assemble a Tables 4–6 / Figure 10 style layout for one counterfactual
-/// metric.
-pub fn render_cf_table(
-    title: &str,
-    cells: &[CfCell],
-    models: &[ModelKind],
-    methods: &[CfMethod],
-    datasets: &[DatasetId],
-    metric: CfMetricKind,
-) -> String {
-    let mut header: Vec<String> = vec!["Dataset".into()];
-    for m in models {
-        for meth in methods {
-            header.push(format!("{}:{}", m.paper_name(), meth.paper_name()));
+            header.push(format!("{}:{meth}", m.paper_name()));
         }
     }
     let mut table = TableBuilder::new(title).header(header);
@@ -175,14 +113,15 @@ pub fn render_cf_table(
                     cells
                         .iter()
                         .find(|c| c.dataset == d && c.model == m && c.method == meth)
-                        .map_or(f64::NAN, |c| c.value.get(metric))
+                        .map_or(f64::NAN, |c| metric(&c.value))
                 })
                 .collect();
-            let best = block
-                .iter()
-                .copied()
-                .filter(|v| v.is_finite())
-                .fold(f64::NEG_INFINITY, f64::max);
+            let finite = block.iter().copied().filter(|v| v.is_finite());
+            let best = if lower_is_better {
+                finite.fold(f64::INFINITY, f64::min)
+            } else {
+                finite.fold(f64::NEG_INFINITY, f64::max)
+            };
             for v in block {
                 let star = if v.is_finite() && (v - best).abs() < 1e-9 {
                     "*"
@@ -201,6 +140,8 @@ pub fn render_cf_table(
 mod tests {
     use super::*;
     use crate::cf_metrics::CfAggregate;
+    use crate::grid::SaliencyAggregate;
+    use certa_baselines::{CfMethod, SaliencyMethod};
 
     #[test]
     fn plain_render_aligns_columns() {
@@ -223,28 +164,29 @@ mod tests {
 
     #[test]
     fn saliency_table_stars_the_best() {
+        let cell = |method, faithfulness| Cell {
+            dataset: DatasetId::AB,
+            model: ModelKind::Ditto,
+            method,
+            value: SaliencyAggregate {
+                faithfulness,
+                confidence: 0.0,
+            },
+        };
         let cells = vec![
-            SaliencyCell {
-                dataset: DatasetId::AB,
-                model: ModelKind::Ditto,
-                method: SaliencyMethod::Certa,
-                value: 0.1,
-            },
-            SaliencyCell {
-                dataset: DatasetId::AB,
-                model: ModelKind::Ditto,
-                method: SaliencyMethod::Shap,
-                value: 0.5,
-            },
+            cell(SaliencyMethod::Certa, 0.1),
+            cell(SaliencyMethod::Shap, 0.5),
         ];
-        let out = render_saliency_table(
+        let out = render_grid_table(
             "T",
             &cells,
             &[ModelKind::Ditto],
             &[SaliencyMethod::Certa, SaliencyMethod::Shap],
             &[DatasetId::AB],
+            |v| v.faithfulness,
             true,
         );
+        assert!(out.contains("Ditto:certa"), "{out}");
         assert!(out.contains("0.100*"));
         assert!(out.contains("0.500"));
         assert!(!out.contains("0.500*"));
@@ -252,26 +194,29 @@ mod tests {
 
     #[test]
     fn cf_table_renders_requested_metric() {
-        let cells = vec![CfCell {
+        let cell = |method, sparsity| Cell {
             dataset: DatasetId::FZ,
             model: ModelKind::DeepEr,
-            method: CfMethod::Dice,
+            method,
             value: CfAggregate {
                 proximity: 0.7,
-                sparsity: 0.9,
+                sparsity,
                 diversity: 0.2,
                 count: 3.0,
                 pairs: 4,
             },
-        }];
-        let out = render_cf_table(
+        };
+        let cells = vec![cell(CfMethod::Dice, 0.9), cell(CfMethod::LimeC, 0.4)];
+        let out = render_grid_table(
             "T",
             &cells,
             &[ModelKind::DeepEr],
-            &[CfMethod::Dice],
+            &[CfMethod::Dice, CfMethod::LimeC],
             &[DatasetId::FZ],
-            CfMetricKind::Sparsity,
+            |v| v.sparsity,
+            false,
         );
-        assert!(out.contains("0.900"));
+        assert!(out.contains("0.900*"), "{out}");
+        assert!(out.contains("0.400") && !out.contains("0.400*"));
     }
 }

@@ -6,9 +6,9 @@
 //! (b), confidence indication (c), faithfulness (d), proximity (e),
 //! sparsity (f) and diversity (g). All metrics stabilize beyond τ ≈ 75–80.
 
-use crate::cf_metrics::{example_proximity, example_sparsity, set_diversity};
-use crate::confidence::confidence_indication_with;
-use crate::faithfulness::faithfulness_auc_with;
+use crate::cf_metrics::cf_metrics_for;
+use crate::confidence::confidence_indication;
+use crate::faithfulness::faithfulness_auc;
 use certa_core::{Dataset, LabeledPair, Matcher};
 use certa_explain::{Certa, CertaConfig};
 
@@ -35,7 +35,7 @@ pub struct SweepPoint {
 
 /// Run CERTA at one τ over `pairs` and aggregate all seven panel metrics.
 /// Explanations come from [`Certa::explain_labeled`] (the parallel batch
-/// engine) and are aggregated in input order.
+/// engine), once per pair; every panel reads the same explanations.
 pub fn sweep_point(
     matcher: &dyn Matcher,
     dataset: &Dataset,
@@ -46,58 +46,23 @@ pub fn sweep_point(
     assert!(!pairs.is_empty());
     let certa = Certa::new(base.with_triangles(tau));
     let explanations = certa.explain_labeled(matcher, dataset, pairs);
-    let mut saliencies = Vec::with_capacity(pairs.len());
-    let mut suff_sum = 0.0;
-    let mut nec_sum = 0.0;
-    let mut prox_sum = 0.0;
-    let mut spars_sum = 0.0;
-    let mut with_examples = 0usize;
-    let mut div_sum = 0.0;
-
-    for (lp, exp) in pairs.iter().zip(explanations) {
-        let (u, v) = dataset.expect_pair(lp.pair);
-        suff_sum += exp.mean_sufficiency;
-        nec_sum += exp.mean_necessity;
-        div_sum += set_diversity(&exp.counterfactual);
-        if !exp.counterfactual.examples.is_empty() {
-            let n = exp.counterfactual.examples.len() as f64;
-            prox_sum += exp
-                .counterfactual
-                .examples
-                .iter()
-                .map(|ex| example_proximity(u, v, ex))
-                .sum::<f64>()
-                / n;
-            spars_sum += exp
-                .counterfactual
-                .examples
-                .iter()
-                .map(|ex| example_sparsity(u, v, ex))
-                .sum::<f64>()
-                / n;
-            with_examples += 1;
-        }
-        saliencies.push(exp.saliency);
-    }
-
     let n = pairs.len() as f64;
+    let sufficiency = explanations.iter().map(|e| e.mean_sufficiency).sum::<f64>() / n;
+    let necessity = explanations.iter().map(|e| e.mean_necessity).sum::<f64>() / n;
+    let (saliencies, counterfactuals): (Vec<_>, Vec<_>) = explanations
+        .into_iter()
+        .map(|e| (e.saliency, e.counterfactual))
+        .unzip();
+    let cf = cf_metrics_for(dataset, &counterfactuals, pairs);
     SweepPoint {
         tau,
-        sufficiency: suff_sum / n,
-        necessity: nec_sum / n,
-        confidence: confidence_indication_with(matcher, dataset, &saliencies, pairs),
-        faithfulness: faithfulness_auc_with(matcher, dataset, &saliencies, pairs),
-        proximity: if with_examples > 0 {
-            prox_sum / with_examples as f64
-        } else {
-            0.0
-        },
-        sparsity: if with_examples > 0 {
-            spars_sum / with_examples as f64
-        } else {
-            0.0
-        },
-        diversity: div_sum / n,
+        sufficiency,
+        necessity,
+        confidence: confidence_indication(matcher, dataset, &saliencies, pairs),
+        faithfulness: faithfulness_auc(matcher, dataset, &saliencies, pairs),
+        proximity: cf.proximity,
+        sparsity: cf.sparsity,
+        diversity: cf.diversity,
     }
 }
 

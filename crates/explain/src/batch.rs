@@ -47,7 +47,7 @@ impl Certa {
     }
 
     /// [`Certa::explain_batch`] over labeled pairs resolved against the
-    /// dataset — the shape every evaluation-grid call site holds.
+    /// dataset — the shape the evaluation runners hold.
     pub fn explain_labeled(
         &self,
         matcher: &dyn Matcher,

@@ -280,18 +280,6 @@ impl SaliencyExplainer for Certa {
     ) -> SaliencyExplanation {
         self.explain(matcher, dataset, u, v).saliency
     }
-
-    fn explain_saliency_batch(
-        &self,
-        matcher: &dyn Matcher,
-        dataset: &Dataset,
-        pairs: &[(&Record, &Record)],
-    ) -> Vec<SaliencyExplanation> {
-        self.explain_batch(matcher, dataset, pairs)
-            .into_iter()
-            .map(|e| e.saliency)
-            .collect()
-    }
 }
 
 impl CounterfactualExplainer for Certa {
@@ -307,18 +295,6 @@ impl CounterfactualExplainer for Certa {
         v: &Record,
     ) -> CounterfactualExplanation {
         self.explain(matcher, dataset, u, v).counterfactual
-    }
-
-    fn explain_counterfactual_batch(
-        &self,
-        matcher: &dyn Matcher,
-        dataset: &Dataset,
-        pairs: &[(&Record, &Record)],
-    ) -> Vec<CounterfactualExplanation> {
-        self.explain_batch(matcher, dataset, pairs)
-            .into_iter()
-            .map(|e| e.counterfactual)
-            .collect()
     }
 }
 

@@ -181,23 +181,6 @@ pub trait SaliencyExplainer {
         u: &Record,
         v: &Record,
     ) -> SaliencyExplanation;
-
-    /// Explain a batch of predictions, returning one explanation per pair in
-    /// input order. The default is a sequential loop; methods with a
-    /// parallel engine (CERTA) override it. Overrides **must** return
-    /// exactly what the sequential loop would — the evaluation grid treats
-    /// the two as interchangeable.
-    fn explain_saliency_batch(
-        &self,
-        matcher: &dyn Matcher,
-        dataset: &Dataset,
-        pairs: &[(&Record, &Record)],
-    ) -> Vec<SaliencyExplanation> {
-        pairs
-            .iter()
-            .map(|(u, v)| self.explain_saliency(matcher, dataset, u, v))
-            .collect()
-    }
 }
 
 /// A counterfactual explanation method.
@@ -213,22 +196,6 @@ pub trait CounterfactualExplainer {
         u: &Record,
         v: &Record,
     ) -> CounterfactualExplanation;
-
-    /// Explain a batch of predictions, one explanation per pair in input
-    /// order. Same contract as
-    /// [`SaliencyExplainer::explain_saliency_batch`]: overrides must be
-    /// output-identical to the sequential loop.
-    fn explain_counterfactual_batch(
-        &self,
-        matcher: &dyn Matcher,
-        dataset: &Dataset,
-        pairs: &[(&Record, &Record)],
-    ) -> Vec<CounterfactualExplanation> {
-        pairs
-            .iter()
-            .map(|(u, v)| self.explain_counterfactual(matcher, dataset, u, v))
-            .collect()
-    }
 }
 
 #[cfg(test)]

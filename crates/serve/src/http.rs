@@ -210,6 +210,16 @@ fn parse_head(lines: &[String], max_body: usize) -> Result<Head, HttpError> {
         ));
     }
     let content_length = match find("content-length") {
+        // 411 Length Required; there is no unread body, so the connection
+        // stays usable. An explicit `Content-Length: 0` is an empty body.
+        None if method == "POST" || method == "PUT" => {
+            return Err(HttpError {
+                status: 411,
+                code: "length_required",
+                message: format!("{method} requests need a Content-Length header"),
+                keep_alive: true,
+            });
+        }
         None => 0usize,
         Some(raw) => match raw.parse::<usize>() {
             Ok(n) => n,
@@ -222,16 +232,6 @@ fn parse_head(lines: &[String], max_body: usize) -> Result<Head, HttpError> {
             }
         },
     };
-    if content_length == 0 && (method == "POST" || method == "PUT") {
-        // 411 Length Required; there is no unread body, so the connection
-        // stays usable.
-        return Err(HttpError {
-            status: 411,
-            code: "length_required",
-            message: format!("{method} requests need a Content-Length body"),
-            keep_alive: true,
-        });
-    }
     if content_length > max_body {
         // Refuse *before* reading: the unread body poisons stream framing,
         // so the connection must close afterwards.
@@ -485,6 +485,17 @@ mod tests {
         let r = request(b"POST /v1/score HTTP/1.1\r\nContent-Length: 4\r\n\r\n{\"a\"");
         assert_eq!(r.method, "POST");
         assert_eq!(r.body, b"{\"a\"");
+    }
+
+    #[test]
+    fn explicit_zero_content_length_is_an_empty_body() {
+        for method in ["POST", "PUT"] {
+            let raw = format!("{method} /v1/reload HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+            let r = request(raw.as_bytes());
+            assert_eq!(r.method, method);
+            assert_eq!(r.path, "/v1/reload");
+            assert!(r.body.is_empty());
+        }
     }
 
     #[test]

@@ -87,6 +87,6 @@ pub mod wire;
 
 pub use http::{HttpError, Request, Response};
 pub use ops::{Counter, Exposition, Kind, LatencyHistogram, Route, ServerMetrics};
-pub use server::{AppState, Server, ServerHandle};
+pub use server::{AppState, Server};
 pub use state::{ModelEntry, Registry, RegistryCounters, ServeConfig, TransferMode};
 pub use wire::{Json, WireError};

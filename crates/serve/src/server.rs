@@ -28,7 +28,7 @@
 //!
 //! ## Graceful shutdown
 //!
-//! [`ServerHandle::shutdown`] flips the stop flag and writes a byte to the
+//! [`Server::shutdown`] flips the stop flag and writes a byte to the
 //! wake pipe. In-flight connections drain, bounded by a deadline; workers
 //! join, and the listener is closed before `shutdown` returns, so the port
 //! is immediately rebindable.
@@ -139,7 +139,7 @@ impl<T> BoundedQueue<T> {
 }
 
 /// A running server. Dropping the handle without calling
-/// [`ServerHandle::shutdown`] detaches the threads (the process exit
+/// [`Server::shutdown`] detaches the threads (the process exit
 /// reaps them); tests and the load harness always shut down explicitly.
 pub struct Server {
     addr: SocketAddr,
@@ -149,9 +149,6 @@ pub struct Server {
     /// Write end of the event loop's wake pipe.
     wake: UnixStream,
 }
-
-/// Owning handle to a running [`Server`].
-pub type ServerHandle = Server;
 
 impl Server {
     /// Bind and start serving. `addr` is a `host:port` string; port `0`

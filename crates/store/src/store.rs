@@ -103,8 +103,15 @@ impl ModelStore {
             std::process::id(),
             NEXT_TMP.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
         ));
-        std::fs::write(&tmp, bytes).map_err(|e| io_err(&tmp, e))?;
-        std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))
+        let written = std::fs::write(&tmp, bytes)
+            .map_err(|e| io_err(&tmp, e))
+            .and_then(|()| std::fs::rename(&tmp, path).map_err(|e| io_err(path, e)));
+        if written.is_err() {
+            // `gc` never sweeps this process's temps, so a failed save
+            // removes its own; a temp that was never created is no error.
+            let _ = std::fs::remove_file(&tmp);
+        }
+        written
     }
 
     /// Persist a generated dataset. Returns the written path.
@@ -418,6 +425,25 @@ mod tests {
             matches!(err, StoreError::Malformed(ref m) if m.contains("DeepMatcher")),
             "wrong-kind guard: {err}"
         );
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn a_failed_save_leaves_no_temp_file() {
+        let store = temp_store("failed-save");
+        let d = generate(DatasetId::FZ, Scale::Smoke, 3);
+        // A directory where the artifact should land: the write succeeds,
+        // the final rename fails.
+        std::fs::create_dir_all(store.dataset_path(DatasetId::FZ, Scale::Smoke, 3)).unwrap();
+        assert!(store
+            .save_dataset(DatasetId::FZ, Scale::Smoke, 3, &d)
+            .is_err());
+        let temps: Vec<_> = std::fs::read_dir(store.dir())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.contains(".tmp."))
+            .collect();
+        assert!(temps.is_empty(), "leftover temp files: {temps:?}");
         let _ = std::fs::remove_dir_all(store.dir());
     }
 

@@ -10,7 +10,7 @@
 use certa_repro::baselines::CfMethod;
 use certa_repro::core::Split;
 use certa_repro::datagen::{generate, DatasetId, Scale};
-use certa_repro::eval::cf_metrics::{example_proximity, example_sparsity, set_diversity};
+use certa_repro::eval::cf_metrics::cf_metrics_for;
 use certa_repro::explain::CertaConfig;
 use certa_repro::models::{train_model, ModelKind, TrainConfig};
 
@@ -40,32 +40,21 @@ fn main() {
                 println!("  {:<7} found nothing", method.paper_name());
                 continue;
             }
-            let n = cf.examples.len();
-            let prox: f64 = cf
-                .examples
-                .iter()
-                .map(|e| example_proximity(u, v, e))
-                .sum::<f64>()
-                / n as f64;
-            let spars: f64 = cf
-                .examples
-                .iter()
-                .map(|e| example_sparsity(u, v, e))
-                .sum::<f64>()
-                / n as f64;
             let valid = cf
                 .examples
                 .iter()
                 .filter(|e| (e.score > 0.5) != pred.is_match())
                 .count();
+            let n = cf.examples.len();
+            let metrics = cf_metrics_for(&dataset, &[cf], &[*lp]);
             println!(
                 "  {:<7} {} examples ({} valid flips)  proximity {:.2}  sparsity {:.2}  diversity {:.2}",
                 method.paper_name(),
                 n,
                 valid,
-                prox,
-                spars,
-                set_diversity(&cf),
+                metrics.proximity,
+                metrics.sparsity,
+                metrics.diversity,
             );
         }
         println!();

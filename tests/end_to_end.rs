@@ -27,13 +27,19 @@ fn full_pipeline_on_fz() {
             assert_eq!(phi.len(), 12, "{kind:?}/{method:?}: 6 attrs per side");
             assert!(phi.iter().all(|(_, s)| s.is_finite() && s >= 0.0));
         }
-        // Metrics are bounded.
-        let certa = Certa::new(CertaConfig::default().with_triangles(16));
-        let auc = faithfulness_auc(&cached, &dataset, &certa, &pairs);
+        // Metrics are bounded. CERTA explains the pairs once; every metric
+        // reads the same explanations.
+        let (saliencies, counterfactuals): (Vec<_>, Vec<_>) =
+            Certa::new(CertaConfig::default().with_triangles(16))
+                .explain_labeled(&cached, &dataset, &pairs)
+                .into_iter()
+                .map(|e| (e.saliency, e.counterfactual))
+                .unzip();
+        let auc = faithfulness_auc(&cached, &dataset, &saliencies, &pairs);
         assert!((0.0..=1.0).contains(&auc), "{kind:?} AUC {auc}");
-        let ci = confidence_indication(&cached, &dataset, &certa, &pairs);
+        let ci = confidence_indication(&cached, &dataset, &saliencies, &pairs);
         assert!((0.0..=1.0).contains(&ci), "{kind:?} CI {ci}");
-        let cf = cf_metrics_for(&cached, &dataset, &certa, &pairs);
+        let cf = cf_metrics_for(&dataset, &counterfactuals, &pairs);
         assert!((0.0..=1.0).contains(&cf.proximity));
         assert!((0.0..=1.0).contains(&cf.sparsity));
         assert!((0.0..=1.0 + 1e-9).contains(&cf.diversity));
