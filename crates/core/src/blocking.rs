@@ -42,8 +42,6 @@ pub struct TokenIndex {
     postings: FxHashMap<String, Vec<u32>>,
     /// Table position → record id.
     ids: Vec<RecordId>,
-    /// Hyper-common tokens dropped at the end of `build`.
-    stop_tokens: usize,
 }
 
 impl TokenIndex {
@@ -88,11 +86,9 @@ impl TokenIndex {
                 }
             }
         }
-        let mut stop_tokens = 0usize;
         if max_posting != usize::MAX {
             postings.retain(|_, positions| {
                 if positions.len() > max_posting {
-                    stop_tokens += 1;
                     false
                 } else {
                     positions.shrink_to_fit();
@@ -100,11 +96,7 @@ impl TokenIndex {
                 }
             });
         }
-        TokenIndex {
-            postings,
-            ids,
-            stop_tokens,
-        }
+        TokenIndex { postings, ids }
     }
 
     /// Records sharing at least `min_overlap` distinct indexed tokens with
@@ -171,20 +163,16 @@ impl TokenIndex {
 
     /// Number of distinct indexed tokens (stop words are not counted: they
     /// are dropped at build time).
+    #[cfg(test)]
     pub fn vocabulary_size(&self) -> usize {
         self.postings.len()
     }
 
     /// Total posting-list entries held by the index — the memory the index
     /// actually retains, which the build-time cutoff bounds.
+    #[cfg(test)]
     pub fn posting_entries(&self) -> usize {
         self.postings.values().map(Vec::len).sum()
-    }
-
-    /// Hyper-common tokens that crossed `max_posting` and were dropped at
-    /// the end of [`TokenIndex::build`].
-    pub fn stop_token_count(&self) -> usize {
-        self.stop_tokens
     }
 }
 
@@ -262,7 +250,8 @@ mod tests {
         let idx = TokenIndex::build(&t, 1);
         let probe = Record::new(RecordId(99), vec!["sony tv".into()]);
         assert!(idx.candidates(&probe, 1, None).is_empty());
-        assert_eq!(idx.stop_token_count(), 2);
+        let all = TokenIndex::build(&t, usize::MAX);
+        assert_eq!(all.vocabulary_size() - idx.vocabulary_size(), 2);
     }
 
     #[test]
@@ -281,7 +270,6 @@ mod tests {
         let idx = TokenIndex::build(&t, usize::MAX);
         // sony bravia tv walkman player lg oled bose speaker = 9
         assert_eq!(idx.vocabulary_size(), 9);
-        assert_eq!(idx.stop_token_count(), 0);
     }
 
     /// The build-time cutoff regression: a stop-word-heavy table must not
@@ -305,7 +293,8 @@ mod tests {
         let max_posting = 10;
         let idx = TokenIndex::build(&table, max_posting);
         // The three stop words are gone entirely …
-        assert_eq!(idx.stop_token_count(), 3);
+        let all = TokenIndex::build(&table, usize::MAX);
+        assert_eq!(all.vocabulary_size() - idx.vocabulary_size(), 3);
         assert_eq!(idx.vocabulary_size(), n as usize, "only sku tokens remain");
         // … and retained memory is exactly one entry per rare token, far
         // below the 4 × n entries the unbounded build held.
@@ -322,7 +311,6 @@ mod tests {
         let idx = TokenIndex::build(&t, usize::MAX);
         // 4 records × 3,3,3,2 tokens = 11 posting entries, none dropped.
         assert_eq!(idx.posting_entries(), 11);
-        assert_eq!(idx.stop_token_count(), 0);
     }
 
     /// Before/after equivalence for the allocation-free probe dedupe and the

@@ -51,4 +51,4 @@ pub use par::{run_indexed, worker_count};
 pub use record::{Record, RecordId};
 pub use schema::{AttrId, Schema};
 pub use table::Table;
-pub use value::{AttrValue, ValueId};
+pub use value::{AttrValue, TokenId, ValueId};

@@ -1,6 +1,5 @@
 //! Schemas: ordered, named attribute lists for one side of an ER task.
 
-use crate::error::{CoreError, Result};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -103,12 +102,13 @@ impl Schema {
     }
 
     /// Look up an attribute id by name.
-    pub fn attr_id(&self, name: &str) -> Result<AttrId> {
+    #[cfg(test)]
+    pub fn attr_id(&self, name: &str) -> crate::Result<AttrId> {
         self.attrs
             .iter()
             .position(|a| a == name)
             .map(|i| AttrId(i as u16))
-            .ok_or_else(|| CoreError::UnknownAttribute {
+            .ok_or_else(|| crate::CoreError::UnknownAttribute {
                 schema: self.name.clone(),
                 attr: name.to_string(),
             })
@@ -124,6 +124,7 @@ impl Schema {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CoreError;
 
     fn abt() -> Schema {
         Schema::new("Abt", ["Name", "Description", "Price"])

@@ -17,7 +17,11 @@
 //! * the §3.3 augmentation variants of a value ([`AttrValue::drop_first_k`],
 //!   [`AttrValue::drop_last_k`]) are interned the first time each is asked
 //!   for and cached on the value, so explaining the same records again
-//!   re-uses handles instead of rebuilding and re-interning strings.
+//!   re-uses handles instead of rebuilding and re-interning strings;
+//! * every distinct token carries a [`TokenId`] from a second interner, and
+//!   a value caches its cleaned tokens' ids ([`AttrValue::clean_token_ids`])
+//!   on the first request, so token sets count on integers instead of
+//!   hashing token strings.
 //!
 //! # `ValueId` stability rules
 //!
@@ -39,6 +43,18 @@
 //!   with ever-novel values accumulates — front such deployments with
 //!   quotas, exactly as for the equally append-only score cache.
 //!
+//! # `TokenId` rules
+//!
+//! * [`TokenId`]s follow the `ValueId` rules above: process-local dense
+//!   `u32`s in first-intern order, `a == b` **iff** the token texts are
+//!   equal, never reused, never freed. Never persist them.
+//! * They are used only for counts and order-free sums (set sizes,
+//!   intersections, Ditto's ±1/±0.5 bucket sums): an id's value depends on
+//!   which thread interned first, so it must never decide an output order.
+//! * A value's ids are interned on the first [`AttrValue::clean_token_ids`]
+//!   request, never while a value-interner shard is locked; the token
+//!   interner takes one shard lock of its own per lookup.
+//!
 //! # Determinism contract
 //!
 //! Everything cached here ([`AttrValue::cleaned`], token spans,
@@ -48,14 +64,14 @@
 //! serde encoding, and equal [`crate::Record::content_hash`]. Property tests
 //! in `tests/value_props.rs` pin this.
 
-use crate::hash::{fx_hash_one, FxHashSet};
+use crate::hash::{fx_hash_one, FxHashMap, FxHashSet};
 use crate::tokens;
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Stable identifier of one distinct interned string within this process.
 ///
@@ -67,6 +83,28 @@ pub struct ValueId(pub u32);
 impl fmt::Display for ValueId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "v{}", self.0)
+    }
+}
+
+/// Stable identifier of one distinct token within this process.
+///
+/// See the module docs for its rules (those of [`ValueId`], and only ever
+/// counted or summed order-free, which is why it has no ordering).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TokenId(pub u32);
+
+impl TokenId {
+    /// The id of `token`'s text, assigned on its first intern. A known
+    /// token is looked up by `&str`, with no allocation.
+    pub fn intern(token: &str) -> TokenId {
+        let interner = token_interner();
+        let mut ids = interner.lock(fx_hash_one(token));
+        if let Some(&id) = ids.get(token) {
+            return id;
+        }
+        let id = TokenId(interner.next_id());
+        ids.insert(token.into(), id);
+        id
     }
 }
 
@@ -87,6 +125,8 @@ struct ValueData {
     cleaned: Box<str>,
     /// Whitespace token spans into `cleaned`.
     clean_tokens: Box<[Span]>,
+    /// Interned ids of `clean_tokens`, filled on the first request.
+    clean_token_ids: OnceLock<Box<[TokenId]>>,
     /// §3.3 token-drop variants, one slot per `(k, end)` for
     /// `1 <= k < token count`, at `2 * (k - 1) + end`. The slot array
     /// (16 bytes a slot) is allocated on the first request, so only values
@@ -124,6 +164,7 @@ impl ValueData {
             raw_tokens,
             clean_tokens,
             cleaned,
+            clean_token_ids: OnceLock::new(),
             variants: OnceLock::new(),
         }
     }
@@ -138,8 +179,9 @@ impl ValueData {
 #[derive(Clone)]
 pub struct AttrValue(Arc<ValueData>);
 
-/// Number of independent interner shards (power of two; shard selection is a
-/// mask over the content hash, mirroring the score-cache sharding).
+/// Number of independent shards per interner (power of two; shard
+/// selection is a mask over the content hash, mirroring the score-cache
+/// sharding).
 const INTERN_SHARDS: usize = 16;
 
 /// Interner entry: hashes and compares as its string content so the shard
@@ -166,49 +208,61 @@ impl PartialEq for Entry {
 
 impl Eq for Entry {}
 
-struct Interner {
-    shards: Vec<Mutex<FxHashSet<Entry>>>,
+/// A global append-only interner: string content spread over shards `S`
+/// by its hash, and one counter handing out dense ids in first-intern
+/// order.
+struct Interner<S> {
+    shards: Vec<Mutex<S>>,
     next_id: AtomicU32,
 }
 
-fn interner() -> &'static Interner {
-    static INTERNER: OnceLock<Interner> = OnceLock::new();
-    INTERNER.get_or_init(|| Interner {
-        shards: (0..INTERN_SHARDS).map(|_| Mutex::default()).collect(),
-        next_id: AtomicU32::new(0),
-    })
+impl<S: Default> Interner<S> {
+    fn new() -> Self {
+        Interner {
+            shards: (0..INTERN_SHARDS).map(|_| Mutex::default()).collect(),
+            next_id: AtomicU32::new(0),
+        }
+    }
+
+    /// Lock the shard that holds content hashing to `content_hash`.
+    fn lock(&self, content_hash: u64) -> MutexGuard<'_, S> {
+        self.shards[(content_hash as usize) & (INTERN_SHARDS - 1)]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The next id (the caller holds the shard lock and has established
+    /// the miss).
+    fn next_id(&self) -> u32 {
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        assert!(id < u32::MAX, "interner exhausted its id space");
+        id
+    }
 }
 
-impl Interner {
-    fn shard(&self, content_hash: u64) -> &Mutex<FxHashSet<Entry>> {
-        &self.shards[(content_hash as usize) & (INTERN_SHARDS - 1)]
-    }
+/// The value interner.
+fn interner() -> &'static Interner<FxHashSet<Entry>> {
+    static INTERNER: OnceLock<Interner<FxHashSet<Entry>>> = OnceLock::new();
+    INTERNER.get_or_init(Interner::new)
+}
 
-    /// Number of distinct values interned so far (diagnostic).
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).len())
-            .sum()
-    }
+/// The token interner: token text → [`TokenId`].
+fn token_interner() -> &'static Interner<FxHashMap<Box<str>, TokenId>> {
+    static TOKENS: OnceLock<Interner<FxHashMap<Box<str>, TokenId>>> = OnceLock::new();
+    TOKENS.get_or_init(Interner::new)
 }
 
 /// Allocate the next id and publish a freshly built value into `set` (the
 /// caller holds the shard lock and has already established the miss).
 fn publish(set: &mut FxHashSet<Entry>, raw: Box<str>) -> AttrValue {
-    let id = interner().next_id.fetch_add(1, Ordering::Relaxed);
-    assert!(id < u32::MAX, "interner exhausted the ValueId space");
-    let value = AttrValue(Arc::new(ValueData::build(ValueId(id), raw)));
+    let id = ValueId(interner().next_id());
+    let value = AttrValue(Arc::new(ValueData::build(id, raw)));
     set.insert(Entry(value.clone()));
     value
 }
 
 fn intern_owned(s: String) -> AttrValue {
-    let interner = interner();
-    let mut set = interner
-        .shard(fx_hash_one(s.as_str()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
+    let mut set = interner().lock(fx_hash_one(s.as_str()));
     if let Some(entry) = set.get(s.as_str()) {
         return entry.0.clone();
     }
@@ -220,11 +274,7 @@ impl AttrValue {
     /// Intern a string, returning the canonical shared handle for its
     /// content. Two calls with equal content return clones of one `Arc`.
     pub fn intern(s: &str) -> AttrValue {
-        let interner = interner();
-        let mut set = interner
-            .shard(fx_hash_one(s))
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let mut set = interner().lock(fx_hash_one(s));
         if let Some(entry) = set.get(s) {
             return entry.0.clone();
         }
@@ -234,7 +284,11 @@ impl AttrValue {
     /// Number of distinct values interned in this process (diagnostic; the
     /// interner never shrinks).
     pub fn interned_count() -> usize {
-        interner().len()
+        interner()
+            .shards
+            .iter()
+            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).len())
+            .sum()
     }
 
     /// Snapshot of every value interned so far, in no particular order.
@@ -317,6 +371,15 @@ impl AttrValue {
     #[inline]
     pub fn clean_token_count(&self) -> usize {
         self.0.clean_tokens.len()
+    }
+
+    /// The [`TokenId`] of each of [`AttrValue::clean_tokens`], in order.
+    /// Interned on the first request and then cached on this value, like
+    /// its variants.
+    pub fn clean_token_ids(&self) -> &[TokenId] {
+        self.0
+            .clean_token_ids
+            .get_or_init(|| self.clean_tokens().map(TokenId::intern).collect())
     }
 
     /// True when two handles point at the same interned allocation (always

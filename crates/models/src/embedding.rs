@@ -11,7 +11,6 @@
 
 use crate::memo::EmbedArtifact;
 use certa_core::hash::fx_hash_one;
-use certa_core::tokens::{clean, tokens};
 use certa_core::{AttrValue, Record};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -52,9 +51,10 @@ impl HashedEmbedder {
     }
 
     /// Mean-pooled embedding of a token sequence (zero vector when empty).
+    #[cfg(test)]
     pub fn embed_text(&self, text: &str) -> Vec<f64> {
-        let cleaned = clean(text);
-        let (acc, count) = self.sum_tokens(tokens(&cleaned));
+        let cleaned = certa_core::tokens::clean(text);
+        let (acc, count) = self.sum_tokens(certa_core::tokens::tokens(&cleaned));
         Self::finish_mean(acc, count)
     }
 

@@ -20,13 +20,12 @@
 
 use crate::embedding::{cosine, HashedEmbedder};
 use crate::memo::{DittoSegment, EmbedArtifact, FeatureMemo};
-use certa_core::hash::fx_hash_one;
 use certa_core::tokens::clean;
-use certa_core::{AttrValue, Dataset, Record, Side, Split};
+use certa_core::{AttrValue, Dataset, Record, Side, Split, TokenId};
 use certa_ml::FeatureHasher;
 use certa_text::{
-    jaccard_tokens, jaro_winkler, levenshtein_sim, numeric_sim, parse_number, trigram_sim,
-    with_gram_overlap, CorpusStats, Overlap, OverlapKey, Trigrams,
+    jaccard_ids, jaro_winkler, levenshtein_sim, numeric_sim, parse_number, trigram_sim,
+    with_overlap, CorpusStats, Overlap, Trigrams,
 };
 use std::ops::Range;
 use std::sync::Arc;
@@ -197,7 +196,7 @@ fn deepmatcher_column(corpus: &CorpusStats, a: &AttrValue, b: &AttrValue) -> Vec
         _ => corpus.cosine_tfidf_tokens(a.clean_tokens(), b.clean_tokens()),
     };
     vec![
-        jaccard_tokens(a.clean_tokens(), b.clean_tokens()),
+        jaccard_ids([a.clean_token_ids()], [b.clean_token_ids()]),
         jaro_winkler(ca, cb),
         trigram_sim(ca, cb),
         fourth,
@@ -230,9 +229,9 @@ fn deepmatcher_features(
     }
     // One record-level aggregate so the model can catch dirty-migrated
     // values: Jaccard over the union of each record's cleaned token sets.
-    out.push(jaccard_tokens(
-        u.values().iter().flat_map(AttrValue::clean_tokens),
-        v.values().iter().flat_map(AttrValue::clean_tokens),
+    out.push(jaccard_ids(
+        u.values().iter().map(AttrValue::clean_token_ids),
+        v.values().iter().map(AttrValue::clean_token_ids),
     ));
     out
 }
@@ -279,52 +278,13 @@ fn ditto_segment(value: &AttrValue) -> String {
 struct DittoToken {
     /// Byte range of the token in its segment.
     span: Range<usize>,
-    /// FxHash of the token: its key hash in the token-set [`Overlap`].
-    hash: u64,
+    /// The token's interned id: its key in the token-set [`Overlap`].
+    id: TokenId,
     /// Hasher bucket and sign of `both:<token>`, fed when both records hold
     /// the token.
     both: (usize, f64),
     /// Hasher bucket and sign of `only:<token>`, fed when one record does.
     only: (usize, f64),
-}
-
-/// Fills the token table's vacant slots.
-const NO_TOKEN: DittoToken = DittoToken {
-    span: 0..0,
-    hash: 0,
-    both: (0, 0.0),
-    only: (0, 0.0),
-};
-
-/// A token as the token-set [`Overlap`] counts it: equal when the text is.
-#[derive(Clone, Copy)]
-struct TokenKey<'a> {
-    text: &'a str,
-    token: &'a DittoToken,
-}
-
-impl PartialEq for TokenKey<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.token.hash == other.token.hash && self.text == other.text
-    }
-}
-
-impl Eq for TokenKey<'_> {}
-
-impl Default for TokenKey<'_> {
-    fn default() -> Self {
-        TokenKey {
-            text: "",
-            token: &NO_TOKEN,
-        }
-    }
-}
-
-impl OverlapKey for TokenKey<'_> {
-    #[inline]
-    fn overlap_hash(self) -> u64 {
-        self.token.hash
-    }
 }
 
 /// The part of a pair's Ditto features that one value decides, derived from
@@ -364,7 +324,7 @@ impl DittoParts {
                     let start = t.as_ptr() as usize - segment.as_ptr() as usize;
                     DittoToken {
                         span: start..start + t.len(),
-                        hash: fx_hash_one(t),
+                        id: TokenId::intern(t),
                         both: slot("both:", t),
                         only: slot("only:", t),
                     }
@@ -432,14 +392,20 @@ fn insert_serialized_trigrams(grams: &mut Overlap<u64>, side: Side, values: &[Di
     }
 }
 
-/// A record's tokens, in order, as the token set counts them.
-fn token_keys<'a>(values: &'a [DittoValue<'a>]) -> impl Iterator<Item = TokenKey<'a>> + 'a {
-    values.iter().flat_map(|&(segment, parts)| {
-        parts.tokens.iter().map(move |token| TokenKey {
-            text: &segment[token.span.clone()],
-            token,
+/// A record's tokens, in order.
+fn tokens<'a>(values: &'a [DittoValue<'a>]) -> impl Iterator<Item = &'a DittoToken> + 'a {
+    values.iter().flat_map(|(_, parts)| &parts.tokens)
+}
+
+/// The text of a record's first token, or `""` when it has none.
+fn first_token<'a>(values: &[DittoValue<'a>]) -> &'a str {
+    values
+        .iter()
+        .find_map(|&(segment, parts)| {
+            let token = parts.tokens.first()?;
+            Some(&segment[token.span.clone()])
         })
-    })
+        .unwrap_or("")
 }
 
 fn ditto_features(
@@ -487,33 +453,37 @@ fn ditto_features(
 
 /// Ditto's pair features, folded from both records' values.
 fn fold_ditto(hasher: &FeatureHasher, u: &[DittoValue<'_>], v: &[DittoValue<'_>]) -> Vec<f64> {
-    let token_count =
-        |values: &[DittoValue<'_>]| -> usize { values.iter().map(|(_, p)| p.tokens.len()).sum() };
-    let (nu, nv) = (token_count(u), token_count(v));
+    let (nu, nv) = (tokens(u).count(), tokens(v).count());
 
-    let mut tokens = Overlap::with_capacity(nu + nv);
-    for key in token_keys(u) {
-        tokens.insert(Side::Left, key);
-    }
-    for key in token_keys(v) {
-        tokens.insert(Side::Right, key);
-    }
     // The hashed buckets, then four scalars.
     let mut out = Vec::with_capacity(hasher.dim() + 4);
     out.resize(hasher.dim(), 0.0);
-    // Cross features: shared tokens (strong match evidence), one-sided
-    // tokens (mismatch evidence), marked with direction prefixes. A bucket
-    // only sums ±1 and ±0.5, which is exact in any order, so the table's
-    // order cannot move a bit.
-    for (key, shared) in tokens.keys() {
-        let ((idx, sign), weight) = if shared {
-            (key.token.both, 1.0)
-        } else {
-            (key.token.only, -0.5)
-        };
-        out[idx] += sign * weight;
-    }
-    let (distinct_u, distinct_v, _) = tokens.counts();
+    // Cross features, one entry per distinct token: shared tokens (strong
+    // match evidence) and one-sided tokens (mismatch evidence), marked with
+    // direction prefixes. Each left token enters as one-sided; a right
+    // token the left set holds moves its entry to shared. A bucket only
+    // sums ±1 and ±0.5, which is exact in any order, so moving an entry
+    // cannot move a bit.
+    let (token_sim, distinct_u, distinct_v) = with_overlap(nu + nv, |ids| {
+        let mut feed = |(idx, sign): (usize, f64), weight: f64| out[idx] += sign * weight;
+        for token in tokens(u) {
+            if ids.insert(Side::Left, u64::from(token.id.0)).is_some() {
+                feed(token.only, -0.5);
+            }
+        }
+        for token in tokens(v) {
+            match ids.insert(Side::Right, u64::from(token.id.0)) {
+                Some(true) => {
+                    feed(token.only, 0.5);
+                    feed(token.both, 1.0);
+                }
+                Some(false) => feed(token.only, -0.5),
+                None => {}
+            }
+        }
+        let (distinct_u, distinct_v, _) = ids.counts();
+        (ids.jaccard(), distinct_u, distinct_v)
+    });
     let denom = (distinct_u + distinct_v).max(1) as f64;
     out.iter_mut().for_each(|x| *x /= denom.sqrt());
 
@@ -523,16 +493,15 @@ fn fold_ditto(hasher: &FeatureHasher, u: &[DittoValue<'_>], v: &[DittoValue<'_>]
             .map(|(_, p)| p.codes.len() + MARKER_WINDOWS)
             .sum()
     };
-    let gram_sim = with_gram_overlap(gram_bound(u) + gram_bound(v), |grams| {
+    let gram_sim = with_overlap(gram_bound(u) + gram_bound(v), |grams| {
         insert_serialized_trigrams(grams, Side::Left, u);
         insert_serialized_trigrams(grams, Side::Right, v);
         grams.jaccard()
     });
 
-    let first = |values| token_keys(values).next().map_or("", |key| key.text);
-    out.push(tokens.jaccard());
+    out.push(token_sim);
     out.push(gram_sim);
-    out.push(levenshtein_sim(first(u), first(v)));
+    out.push(levenshtein_sim(first_token(u), first_token(v)));
     out.push((nu as f64 - nv as f64).abs() / (nu + nv).max(1) as f64);
     out
 }

@@ -17,8 +17,8 @@
 //!   serialized `VAL` token segment (number rounding + cleaning applied),
 //!   which is what `certa-store` persists, plus the parts of a pair's
 //!   features that depend on that value alone — its surviving tokens with
-//!   their hasher slots, the token count, the first token and its trigram
-//!   codes. The parts are derived from the segment on first use, so a
+//!   their interned `TokenId`s and hasher slots, the token count, the first
+//!   token and its trigram codes. The parts are derived from the segment on first use, so a
 //!   segment seeded from a snapshot derives them without a memo miss. They
 //!   depend on the model's `FeatureHasher`, one more reason a memo serves
 //!   one model.
@@ -30,7 +30,8 @@
 //! memoized and unmemoized featurization are **bit-for-bit identical**
 //! (pinned by `tests/memo_props.rs` and `tests/ditto_oracle.rs`, and gated
 //! in CI by `bench_featurize`). A Ditto segment's derived parts are a pure
-//! function of its text and the model's hasher, so deriving them lazily
+//! function of its text and the model's hasher (its token ids are
+//! process-local, but they are only ever counted), so deriving them lazily
 //! keeps the contract.
 //! `ValueId`s are process-local but stable for the process lifetime (values
 //! are never freed), so entries never go stale.

@@ -1,31 +1,60 @@
 //! Character-level edit distance (Levenshtein).
 
+use crate::with_scratch;
+use std::cell::RefCell;
+
+/// One thread's Levenshtein buffers: both strings' chars and the two rows.
+#[derive(Default)]
+struct Scratch {
+    a: Vec<char>,
+    b: Vec<char>,
+    prev: Vec<usize>,
+    cur: Vec<usize>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
 /// Levenshtein distance (insert / delete / substitute, unit costs).
 ///
-/// Two-row dynamic program, `O(|a|·|b|)` time, `O(min(|a|,|b|))` space.
+/// Two-row dynamic program, `O(|a|·|b|)` time, `O(min(|a|,|b|))` space,
+/// in buffers the thread reuses: a warm call allocates nothing.
 pub fn levenshtein(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    // Keep the inner row the shorter one.
-    let (long, short) = if a.len() >= b.len() {
-        (&a, &b)
-    } else {
-        (&b, &a)
-    };
-    if short.is_empty() {
-        return long.len();
-    }
-    let mut prev: Vec<usize> = (0..=short.len()).collect();
-    let mut cur = vec![0usize; short.len() + 1];
-    for (i, &lc) in long.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, &sc) in short.iter().enumerate() {
-            let sub = prev[j] + usize::from(lc != sc);
-            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
+    with_scratch(&SCRATCH, |s| {
+        let Scratch {
+            a: chars_a,
+            b: chars_b,
+            prev,
+            cur,
+        } = s;
+        chars_a.clear();
+        chars_a.extend(a.chars());
+        chars_b.clear();
+        chars_b.extend(b.chars());
+        // Keep the inner row the shorter one.
+        let (long, short) = if chars_a.len() >= chars_b.len() {
+            (&*chars_a, &*chars_b)
+        } else {
+            (&*chars_b, &*chars_a)
+        };
+        if short.is_empty() {
+            return long.len();
         }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[short.len()]
+        prev.clear();
+        prev.extend(0..=short.len());
+        cur.clear();
+        cur.resize(short.len() + 1, 0);
+        for (i, &lc) in long.iter().enumerate() {
+            cur[0] = i + 1;
+            for (j, &sc) in short.iter().enumerate() {
+                let sub = prev[j] + usize::from(lc != sc);
+                cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
+            }
+            std::mem::swap(prev, cur);
+        }
+        prev[short.len()]
+    })
 }
 
 /// Normalized Levenshtein similarity: `1 − dist / max(|a|, |b|)`.

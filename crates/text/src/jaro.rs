@@ -1,52 +1,82 @@
 //! Jaro and Jaro-Winkler similarities.
 
+use crate::with_scratch;
+use std::cell::RefCell;
+
+/// One thread's Jaro buffers: both strings' chars and which of them match.
+#[derive(Default)]
+struct Scratch {
+    a: Vec<char>,
+    b: Vec<char>,
+    a_matched: Vec<bool>,
+    b_matched: Vec<bool>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
 /// Jaro similarity in `[0, 1]`.
 ///
 /// Matching window is `max(|a|,|b|)/2 − 1`; transpositions counted over the
-/// matched subsequences.
+/// matched subsequences. Works in buffers the thread reuses: a warm call
+/// allocates nothing.
 pub fn jaro(a: &str, b: &str) -> f64 {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let window = (a.len().max(b.len()) / 2).saturating_sub(1);
-    let mut b_used = vec![false; b.len()];
-    let mut a_matches: Vec<char> = Vec::new();
-    let mut b_match_flags = vec![false; b.len()];
-    for (i, &ca) in a.iter().enumerate() {
-        let lo = i.saturating_sub(window);
-        let hi = (i + window + 1).min(b.len());
-        for j in lo..hi {
-            if !b_used[j] && b[j] == ca {
-                b_used[j] = true;
-                b_match_flags[j] = true;
-                a_matches.push(ca);
-                break;
+    with_scratch(&SCRATCH, |s| {
+        let Scratch {
+            a: chars_a,
+            b: chars_b,
+            a_matched,
+            b_matched,
+        } = s;
+        chars_a.clear();
+        chars_a.extend(a.chars());
+        chars_b.clear();
+        chars_b.extend(b.chars());
+        let (a, b) = (&*chars_a, &*chars_b);
+        if a.is_empty() && b.is_empty() {
+            return 1.0;
+        }
+        if a.is_empty() || b.is_empty() {
+            return 0.0;
+        }
+        let window = (a.len().max(b.len()) / 2).saturating_sub(1);
+        a_matched.clear();
+        a_matched.resize(a.len(), false);
+        b_matched.clear();
+        b_matched.resize(b.len(), false);
+        let mut m = 0usize;
+        for (i, &ca) in a.iter().enumerate() {
+            let lo = i.saturating_sub(window);
+            let hi = (i + window + 1).min(b.len());
+            for j in lo..hi {
+                if !b_matched[j] && b[j] == ca {
+                    b_matched[j] = true;
+                    a_matched[i] = true;
+                    m += 1;
+                    break;
+                }
             }
         }
-    }
-    let m = a_matches.len();
-    if m == 0 {
-        return 0.0;
-    }
-    let b_matches: Vec<char> = b
+        if m == 0 {
+            return 0.0;
+        }
+        let transpositions = matched(a, a_matched)
+            .zip(matched(b, b_matched))
+            .filter(|(x, y)| x != y)
+            .count()
+            / 2;
+        let m = m as f64;
+        (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64) / m) / 3.0
+    })
+}
+
+/// The chars whose `hits` flag is set, in order.
+fn matched<'a>(chars: &'a [char], hits: &'a [bool]) -> impl Iterator<Item = char> + 'a {
+    chars
         .iter()
-        .zip(b_match_flags.iter())
-        .filter(|&(_, &f)| f)
-        .map(|(&c, _)| c)
-        .collect();
-    let transpositions = a_matches
-        .iter()
-        .zip(b_matches.iter())
-        .filter(|&(x, y)| x != y)
-        .count()
-        / 2;
-    let m = m as f64;
-    (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64) / m) / 3.0
+        .zip(hits)
+        .filter_map(|(&c, &hit)| hit.then_some(c))
 }
 
 /// Jaro-Winkler similarity: Jaro boosted by shared prefix (up to 4 chars,

@@ -19,9 +19,25 @@ pub mod token_sets;
 pub use cosine::CorpusStats;
 pub use edit::{levenshtein, levenshtein_sim};
 pub use jaro::{jaro, jaro_winkler};
-pub use ngram::{trigram_sim, with_gram_overlap, Overlap, OverlapKey, Trigrams};
+pub use ngram::{trigram_sim, with_overlap, Overlap, OverlapKey, Trigrams};
 pub use numeric::{numeric_sim, parse_number};
-pub use token_sets::{jaccard, jaccard_tokens};
+pub use token_sets::{jaccard, jaccard_ids, jaccard_tokens};
+
+use std::cell::RefCell;
+use std::thread::LocalKey;
+
+/// Run `f` on this thread's `scratch`, which keeps its allocations from
+/// call to call, so a warm kernel allocates nothing. A nested call, which
+/// finds the scratch in use, gets a fresh one.
+pub(crate) fn with_scratch<T: Default, R>(
+    scratch: &'static LocalKey<RefCell<T>>,
+    f: impl FnOnce(&mut T) -> R,
+) -> R {
+    scratch.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut s) => f(&mut s),
+        Err(_) => f(&mut T::default()),
+    })
+}
 
 /// A robust hybrid attribute-value similarity used by the evaluation metrics.
 ///

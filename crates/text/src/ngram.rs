@@ -7,17 +7,19 @@
 //! open-addressing table that takes keys from two sets, repeats allowed,
 //! and counts each set's distinct keys and the keys both hold. Nothing is
 //! sorted and no gram is allocated: [`trigram_sim`] counts in a table each
-//! thread reuses ([`with_gram_overlap`]). Set sizes and intersections are
+//! thread reuses ([`with_overlap`]). Set sizes and intersections are
 //! exact integers, the same as over each gram's `String` (the test module's
 //! reference), so every ratio is bit-identical to it.
 //!
 //! [`Overlap`] is generic over its key ([`OverlapKey`]), so every set
-//! measure of this crate shares the one kernel: token Jaccard
-//! ([`crate::jaccard_tokens`]) counts `&str` tokens with it, and so do
-//! callers that assemble a set from cached parts (Ditto's serialized-pair
-//! features in `certa-models` count both their token and their trigram
-//! overlaps with it).
+//! measure of this crate shares the one kernel. The per-thread table takes
+//! `u64` keys: trigram codes, and interned [`certa_core::TokenId`]s, which
+//! the model-pair path counts its token sets on ([`crate::jaccard_ids`],
+//! and Ditto's token overlap in `certa-models`, which also counts its
+//! serialization's trigram codes there). [`crate::jaccard_tokens`] counts
+//! `&str` tokens in a table of its own.
 
+use crate::with_scratch;
 use certa_core::hash::fx_hash_one;
 use certa_core::Side;
 use std::cell::RefCell;
@@ -66,7 +68,7 @@ pub trait OverlapKey: Copy + Eq + Default {
     fn overlap_hash(self) -> u64;
 }
 
-/// A trigram code is its own hash.
+/// A trigram code or a token id is its own hash.
 impl OverlapKey for u64 {
     #[inline]
     fn overlap_hash(self) -> u64 {
@@ -112,7 +114,8 @@ const MIN_BITS: u32 = 4;
 /// A linear-probing table kept at most half full, so it never sorts and
 /// allocates once when sized by [`Overlap::with_capacity`] (it grows, by
 /// rehashing, if that bound is exceeded). Counts are exact: keys are
-/// compared with `==`, the hash only picks the slot.
+/// compared with `==`, the hash only picks the slot. The table's order
+/// never leaves it: only counts do.
 pub struct Overlap<K> {
     /// `(key, side bits)`; a vacant slot has side bits [`VACANT`].
     slots: Vec<(K, u8)>,
@@ -150,9 +153,10 @@ impl<K: OverlapKey> Overlap<K> {
         (self.left, self.right, self.both) = (0, 0, 0);
     }
 
-    /// Record that `side`'s set holds `key`.
+    /// Record that `side`'s set holds `key`. Returns `None` when it already
+    /// did, else `Some(shared)`: whether both sets hold `key` now.
     #[inline]
-    pub fn insert(&mut self, side: Side, key: K) {
+    pub fn insert(&mut self, side: Side, key: K) -> Option<bool> {
         if 2 * (self.distinct() + 1) > self.slots.len() {
             self.grow();
         }
@@ -173,15 +177,18 @@ impl<K: OverlapKey> Overlap<K> {
             }
             i = (i + 1) & mask;
         };
-        if newly_held {
-            match side {
-                Side::Left => self.left += 1,
-                Side::Right => self.right += 1,
-            }
-            if self.slots[i].1 == BOTH {
-                self.both += 1;
-            }
+        if !newly_held {
+            return None;
         }
+        match side {
+            Side::Left => self.left += 1,
+            Side::Right => self.right += 1,
+        }
+        let shared = self.slots[i].1 == BOTH;
+        if shared {
+            self.both += 1;
+        }
+        Some(shared)
     }
 
     /// Distinct keys of each side and keys both sides hold:
@@ -197,15 +204,6 @@ impl<K: OverlapKey> Overlap<K> {
             return 1.0;
         }
         self.both as f64 / union as f64
-    }
-
-    /// Every distinct key, with whether both sets hold it, in table order
-    /// (which depends on the hashes: fold it only into order-free sums).
-    pub fn keys(&self) -> impl Iterator<Item = (K, bool)> + '_ {
-        self.slots
-            .iter()
-            .filter(|&&(_, sides)| sides != VACANT)
-            .map(|&(key, sides)| (key, sides == BOTH))
     }
 
     fn distinct(&self) -> usize {
@@ -236,6 +234,12 @@ impl<K: OverlapKey> Overlap<K> {
     }
 }
 
+impl<K: OverlapKey> Default for Overlap<K> {
+    fn default() -> Self {
+        Overlap::with_capacity(0)
+    }
+}
+
 /// Insert every trigram code of `s` into `side`'s set, or the single short
 /// gram of a string of one or two chars.
 fn insert_trigrams(overlap: &mut Overlap<u64>, side: Side, s: &str) {
@@ -251,22 +255,19 @@ fn insert_trigrams(overlap: &mut Overlap<u64>, side: Side, s: &str) {
 }
 
 thread_local! {
-    /// This thread's trigram-code table, reused by [`with_gram_overlap`].
-    static GRAMS: RefCell<Overlap<u64>> = RefCell::new(Overlap::with_capacity(0));
+    /// This thread's `u64`-key table, reused by [`with_overlap`].
+    static TABLE: RefCell<Overlap<u64>> = RefCell::default();
 }
 
-/// Run `f` on an empty trigram-code table sized for up to `keys`
-/// insertions. The table is this thread's, reused from call to call, so
-/// counting many small overlaps allocates nothing (a per-call allocation
-/// cost more than the counting for short attribute values). A nested call
-/// gets a fresh table.
-pub fn with_gram_overlap<R>(keys: usize, f: impl FnOnce(&mut Overlap<u64>) -> R) -> R {
-    GRAMS.with(|grams| match grams.try_borrow_mut() {
-        Ok(mut grams) => {
-            grams.reset(keys);
-            f(&mut grams)
-        }
-        Err(_) => f(&mut Overlap::with_capacity(keys)),
+/// Run `f` on an empty `u64`-key table (trigram codes or token ids) sized
+/// for up to `keys` insertions. The table is this thread's, reused from
+/// call to call, so counting many small overlaps allocates nothing (a
+/// per-call allocation cost more than the counting for short attribute
+/// values). A nested call gets a fresh table.
+pub fn with_overlap<R>(keys: usize, f: impl FnOnce(&mut Overlap<u64>) -> R) -> R {
+    with_scratch(&TABLE, |table| {
+        table.reset(keys);
+        f(table)
     })
 }
 
@@ -277,7 +278,7 @@ pub fn with_gram_overlap<R>(keys: usize, f: impl FnOnce(&mut Overlap<u64>) -> R)
 /// carries its char count so "a" and "\0a" differ. Both-empty is 1.0.
 pub fn trigram_sim(a: &str, b: &str) -> f64 {
     // Byte lengths bound the char counts, and so the gram counts.
-    with_gram_overlap(a.len() + b.len(), |grams| {
+    with_overlap(a.len() + b.len(), |grams| {
         insert_trigrams(grams, Side::Left, a);
         insert_trigrams(grams, Side::Right, b);
         grams.jaccard()
@@ -366,17 +367,20 @@ mod tests {
     #[test]
     fn overlap_counts_distinct_keys_per_side() {
         let mut overlap = Overlap::with_capacity(8);
-        for key in [1u64, 2, 2, 3] {
-            overlap.insert(Side::Left, key);
-        }
-        for key in [3u64, 3, 4, 1] {
-            overlap.insert(Side::Right, key);
-        }
-        assert_eq!(overlap.counts(), (3, 3, 2));
-        assert_eq!(overlap.jaccard(), 0.5);
-        let mut keys: Vec<(u64, bool)> = overlap.keys().collect();
-        keys.sort_unstable();
-        assert_eq!(keys, [(1, true), (2, false), (3, true), (4, false)]);
+        let left: Vec<Option<bool>> = [1u64, 2, 2, 3]
+            .into_iter()
+            .map(|key| overlap.insert(Side::Left, key))
+            .collect();
+        assert_eq!(left, [Some(false), Some(false), None, Some(false)]);
+        let right: Vec<Option<bool>> = [3u64, 3, 4, 1]
+            .into_iter()
+            .map(|key| overlap.insert(Side::Right, key))
+            .collect();
+        assert_eq!(right, [Some(true), None, Some(false), Some(true)]);
+        assert_eq!(overlap.insert(Side::Left, 4), Some(true));
+        assert_eq!(overlap.insert(Side::Left, 4), None);
+        assert_eq!(overlap.counts(), (4, 3, 3));
+        assert_eq!(overlap.jaccard(), 0.75);
         assert_eq!(Overlap::<u64>::with_capacity(0).jaccard(), 1.0);
     }
 
@@ -385,11 +389,15 @@ mod tests {
         // Keys that all land in one slot before growing, then many more.
         let mut overlap = Overlap::with_capacity(0);
         for key in 0..1000u64 {
-            overlap.insert(Side::Left, key << 40);
-            overlap.insert(Side::Right, (key + 500) << 40);
+            assert_eq!(overlap.insert(Side::Left, key << 40), Some(key >= 500));
+            assert_eq!(overlap.insert(Side::Right, (key + 500) << 40), Some(false));
         }
         assert_eq!(overlap.counts(), (1000, 1000, 500));
-        assert_eq!(overlap.keys().count(), 1500);
+        // Every key is still found after the rehashes.
+        for key in 0..1500u64 {
+            assert_eq!(overlap.insert(Side::Left, key << 40).is_some(), key >= 1000);
+        }
+        assert_eq!(overlap.counts(), (1500, 1000, 1000));
     }
 
     proptest! {

@@ -1,19 +1,32 @@
 //! Numeric attribute handling (prices, years, capacities).
 
+use crate::with_scratch;
+use std::cell::RefCell;
+
+thread_local! {
+    /// This thread's buffer for the text [`parse_number`] parses.
+    static SCRATCH: RefCell<String> = RefCell::default();
+}
+
 /// Try to parse a string as a single number, tolerating currency symbols,
 /// thousands separators and surrounding whitespace (`"$1,299.00"` → 1299.0).
+/// The symbols are stripped in a buffer the thread reuses: a warm call
+/// allocates nothing.
 ///
 /// Returns `None` for empty strings or strings with non-numeric content.
 pub fn parse_number(s: &str) -> Option<f64> {
-    let cleaned: String = s
-        .trim()
-        .chars()
-        .filter(|c| !matches!(c, '$' | '€' | '£' | ','))
-        .collect();
-    if cleaned.is_empty() {
-        return None;
-    }
-    cleaned.trim().parse::<f64>().ok().filter(|v| v.is_finite())
+    with_scratch(&SCRATCH, |cleaned| {
+        cleaned.clear();
+        cleaned.extend(
+            s.trim()
+                .chars()
+                .filter(|c| !matches!(c, '$' | '€' | '£' | ',')),
+        );
+        if cleaned.is_empty() {
+            return None;
+        }
+        cleaned.trim().parse::<f64>().ok().filter(|v| v.is_finite())
+    })
 }
 
 /// Similarity of two numbers based on relative difference:

@@ -4,12 +4,20 @@
 //! **pre-tokenized views**, so callers holding cached token lists (e.g.
 //! [`certa_core::AttrValue::clean_tokens`]) skip the re-tokenization. Both
 //! count the two sets on [`Overlap`], the hash kernel trigram and Ditto
-//! features count with. Set sizes and the intersection are exact integers,
-//! so the ratio is the one two hash sets of the tokens give.
+//! features count with, keyed by the token text.
+//!
+//! [`jaccard_ids`] counts interned token ids instead
+//! ([`certa_core::AttrValue::clean_token_ids`]), in the table each thread
+//! reuses ([`with_overlap`]), sized from the id lists' lengths: a warm call
+//! hashes no token text and allocates nothing. This is the form the model
+//! pairs count on. Ids are equal exactly when the texts are.
+//!
+//! Set sizes and the intersection are exact integers in every form, so
+//! each ratio is the one two hash sets of the tokens give, bit for bit.
 
-use crate::ngram::Overlap;
+use crate::ngram::{with_overlap, Overlap};
 use certa_core::tokens::tokens;
-use certa_core::Side;
+use certa_core::{Side, TokenId};
 
 /// Jaccard similarity over whitespace token sets: `|A∩B| / |A∪B|`.
 ///
@@ -34,6 +42,37 @@ pub fn jaccard_tokens<'a>(
     overlap.jaccard()
 }
 
+/// [`jaccard_tokens`] over interned token ids. Each side is a list of id
+/// lists, such as a record's values' [`certa_core::AttrValue::clean_token_ids`],
+/// and its set is their union. Counts in this thread's table
+/// ([`with_overlap`]), sized from the lists' lengths.
+pub fn jaccard_ids<'a>(
+    a: impl IntoIterator<Item = &'a [TokenId]> + Clone,
+    b: impl IntoIterator<Item = &'a [TokenId]> + Clone,
+) -> f64 {
+    with_overlap(id_count(a.clone()) + id_count(b.clone()), |ids| {
+        insert_ids(ids, Side::Left, a);
+        insert_ids(ids, Side::Right, b);
+        ids.jaccard()
+    })
+}
+
+/// The ids a side inserts, repeats counted.
+fn id_count<'a>(lists: impl IntoIterator<Item = &'a [TokenId]>) -> usize {
+    lists.into_iter().map(<[TokenId]>::len).sum()
+}
+
+/// Insert every id of `lists` into `side`'s set.
+fn insert_ids<'a>(
+    ids: &mut Overlap<u64>,
+    side: Side,
+    lists: impl IntoIterator<Item = &'a [TokenId]>,
+) {
+    for &TokenId(id) in lists.into_iter().flatten() {
+        ids.insert(side, u64::from(id));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -56,6 +95,10 @@ mod tests {
         }
         let inter = sa.intersection(&sb).count();
         inter as f64 / (sa.len() + sb.len() - inter) as f64
+    }
+
+    fn ids<'a>(tokens: impl Iterator<Item = &'a str>) -> Vec<TokenId> {
+        tokens.map(TokenId::intern).collect()
     }
 
     #[test]
@@ -102,13 +145,19 @@ mod tests {
             y in TEXT,
         ) {
             let (ta, tb) = (a.iter().map(String::as_str), b.iter().map(String::as_str));
-            prop_assert_eq!(
-                jaccard_tokens(ta.clone(), tb.clone()).to_bits(),
-                reference(ta, tb).to_bits()
-            );
+            let expected = reference(ta.clone(), tb.clone()).to_bits();
+            prop_assert_eq!(jaccard_tokens(ta.clone(), tb.clone()).to_bits(), expected);
+            // The same tokens as interned ids: one list a side, and the left
+            // side split in two lists, as a record's values split it.
+            let (ia, ib) = (ids(ta), ids(tb));
+            prop_assert_eq!(jaccard_ids([&ia[..]], [&ib[..]]).to_bits(), expected);
+            let (head, tail) = ia.split_at(ia.len() / 2);
+            prop_assert_eq!(jaccard_ids([head, tail], [&ib[..]]).to_bits(), expected);
             let s = jaccard(&x, &y);
             prop_assert_eq!(s.to_bits(), jaccard_tokens(tokens(&x), tokens(&y)).to_bits());
             prop_assert_eq!(s.to_bits(), reference(tokens(&x), tokens(&y)).to_bits());
+            let (ix, iy) = (ids(tokens(&x)), ids(tokens(&y)));
+            prop_assert_eq!(s.to_bits(), jaccard_ids([&ix[..]], [&iy[..]]).to_bits());
         }
     }
 
